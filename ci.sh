@@ -40,8 +40,25 @@ for threads in 1 4; do
         --test property_kernels
 done
 
+echo "== suite pool determinism across thread counts"
+for threads in 1 4; do
+    echo "-- CSCNN_NUM_THREADS=$threads"
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim --lib runner
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_sim
+done
+
 echo "== kernels bench smoke run (schema check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke
+
+echo "== perfbench smoke test"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench Fig. 7 suite against the committed digests"
+for seed in 42 7; do
+    echo "-- seed $seed"
+    cargo run -q --release --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+        --workload eval_suite --seed "$seed" --seconds 0 --trace 0
+done
 
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

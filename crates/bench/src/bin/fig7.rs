@@ -14,7 +14,13 @@ use cscnn_bench::{evaluation_models, run_evaluation};
 fn main() {
     println!("== Fig. 7: speedup over DCNN ==\n");
     let models = evaluation_models();
-    let (accs, results) = run_evaluation(&models);
+    let (accs, results) = match run_evaluation(&models) {
+        Ok(evaluation) => evaluation,
+        Err(err) => {
+            eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    };
 
     let mut header: Vec<&str> = vec!["model"];
     let names: Vec<&str> = accs.iter().map(|a| a.name()).collect();

@@ -13,7 +13,13 @@ fn main() {
     println!("== Fig. 9: energy consumption normalized to DCNN ==");
     println!("(each cell: total = compute/memory/others shares)\n");
     let models = evaluation_models();
-    let (accs, results) = run_evaluation(&models);
+    let (accs, results) = match run_evaluation(&models) {
+        Ok(evaluation) => evaluation,
+        Err(err) => {
+            eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    };
 
     for row in &results {
         println!("-- {} --", row[0].model);

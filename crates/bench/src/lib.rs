@@ -16,7 +16,7 @@ pub mod paper;
 pub mod table;
 
 use cscnn::models::{catalog, ModelDesc};
-use cscnn::sim::{baselines, Accelerator, RunStats, Runner};
+use cscnn::sim::{baselines, Accelerator, RunStats, Runner, SimError};
 
 /// The workload seed used by every harness binary, so all tables/figures
 /// come from the same synthesized workloads.
@@ -28,15 +28,21 @@ pub fn evaluation_models() -> Vec<ModelDesc> {
     catalog::evaluation_suite()
 }
 
+/// The accelerators of the evaluation and their `[model][accelerator]`
+/// results, in the paper's plotting order.
+pub type Evaluation = (Vec<Box<dyn Accelerator>>, Vec<Vec<RunStats>>);
+
 /// Runs the full 9-accelerator × N-model evaluation once.
-/// Returns `[model][accelerator]` results in the paper's plotting order.
-pub fn run_evaluation(models: &[ModelDesc]) -> (Vec<Box<dyn Accelerator>>, Vec<Vec<RunStats>>) {
+///
+/// # Errors
+///
+/// [`SimError::WorkerPanicked`] naming the lowest-index model whose
+/// simulation panicked.
+pub fn run_evaluation(models: &[ModelDesc]) -> Result<Evaluation, SimError> {
     let runner = Runner::new(SEED);
     let accs = baselines::evaluation_accelerators();
-    let results = runner
-        .run_suite(&accs, models)
-        .expect("simulation worker panicked");
-    (accs, results)
+    let results = runner.run_suite(&accs, models)?;
+    Ok((accs, results))
 }
 
 #[cfg(test)]

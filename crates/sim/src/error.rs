@@ -27,7 +27,17 @@ pub enum SimError {
         /// Why it is rejected.
         reason: &'static str,
     },
-    /// A suite worker thread panicked while simulating a model.
+    /// A sparsity profile's length disagrees with its model's layer count
+    /// ([`Runner::run_model_with_profile`](crate::Runner::run_model_with_profile)).
+    ProfileLength {
+        /// The model's name.
+        model: String,
+        /// Layers in the model.
+        expected: usize,
+        /// Densities the profile supplied.
+        got: usize,
+    },
+    /// A suite or batch worker panicked while simulating a model.
     WorkerPanicked {
         /// The model the panicking worker was simulating.
         model: String,
@@ -69,6 +79,17 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config: {field} {reason}")
+            }
+            SimError::ProfileLength {
+                model,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "sparsity profile for model `{model}` has {got} densities \
+                     but the model has {expected} layers"
+                )
             }
             SimError::WorkerPanicked { model } => {
                 write!(f, "simulation worker for model `{model}` panicked")

@@ -1,7 +1,11 @@
 //! Whole-network and suite simulation driver.
 
+use std::cmp::Reverse;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use cscnn_ir::ModelIr;
-use cscnn_models::{ModelCompression, ModelDesc};
+use cscnn_models::{CompressionScheme, LayerKind, ModelCompression, ModelDesc, SparsityProfile};
 
 use crate::dram::DramConfig;
 use crate::energy::EnergyTable;
@@ -11,6 +15,7 @@ use crate::report::RunStats;
 use crate::schedule::ScheduleStats;
 use crate::util;
 use crate::workload::LayerWorkload;
+use crate::ArchConfig;
 
 /// Drives layer-by-layer simulation of whole networks across accelerators.
 ///
@@ -55,36 +60,72 @@ impl Runner {
     /// are considered on-chip when the previous layer's output fit in the
     /// global buffer.
     pub fn run_model(&self, acc: &dyn Accelerator, model: &ModelDesc) -> RunStats {
-        let mc = ModelCompression::new(model.clone(), acc.scheme());
-        self.run_model_with_profile(acc, model, &mc.profile)
+        let scheme = acc.scheme();
+        let mc = ModelCompression::new(model.clone(), scheme);
+        // One accelerator in, one run out.
+        self.simulate_group(&[acc], scheme, model, &mc.profile)
+            .remove(0)
     }
 
     /// Like [`Runner::run_model`], but with an explicit sparsity profile —
     /// e.g. one *measured* from a trained network's activations rather
     /// than calibrated from published targets.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the profile's length disagrees with the model's.
+    /// [`SimError::ProfileLength`] naming the model and both lengths when
+    /// the profile does not carry one weight and one activation density
+    /// per layer.
     pub fn run_model_with_profile(
         &self,
         acc: &dyn Accelerator,
         model: &ModelDesc,
-        profile: &cscnn_models::SparsityProfile,
-    ) -> RunStats {
-        assert_eq!(
+        profile: &SparsityProfile,
+    ) -> Result<RunStats, SimError> {
+        let layers = model.layers.len();
+        for got in [
             profile.weight_density.len(),
-            model.layers.len(),
-            "profile/model length mismatch"
-        );
-        let cfg = acc.config();
-        let centro = acc.scheme().uses_centrosymmetric();
-        let mut stats = RunStats {
-            accelerator: acc.name().to_string(),
-            model: model.name.clone(),
-            ..Default::default()
-        };
-        let mut input_on_chip = false;
+            profile.activation_density.len(),
+        ] {
+            if got != layers {
+                return Err(SimError::ProfileLength {
+                    model: model.name.clone(),
+                    expected: layers,
+                    got,
+                });
+            }
+        }
+        Ok(self
+            .simulate_group(&[acc], acc.scheme(), model, profile)
+            .remove(0))
+    }
+
+    /// Simulates one model on a group of accelerators that share the
+    /// compression `scheme`, layer by layer. Each layer's workload is
+    /// synthesized once, simulated on every accelerator of the group, and
+    /// dropped before the next layer's is drawn, so one workload is alive
+    /// at a time. Each accelerator keeps its own [`ArchConfig`] and its own
+    /// on-chip input chain, so `runs[j]` is bit-identical to simulating
+    /// `accs[j]` alone. `profile` must match `model`'s length.
+    fn simulate_group(
+        &self,
+        accs: &[&dyn Accelerator],
+        scheme: CompressionScheme,
+        model: &ModelDesc,
+        profile: &SparsityProfile,
+    ) -> Vec<RunStats> {
+        debug_assert!(accs.iter().all(|acc| acc.scheme() == scheme));
+        let centro = scheme.uses_centrosymmetric();
+        let cfgs: Vec<ArchConfig> = accs.iter().map(|acc| acc.config()).collect();
+        let mut runs: Vec<RunStats> = accs
+            .iter()
+            .map(|acc| RunStats {
+                accelerator: acc.name().to_string(),
+                model: model.name.clone(),
+                layers: Vec::with_capacity(model.layers.len()),
+            })
+            .collect();
+        let mut input_on_chip = vec![false; accs.len()];
         for (i, layer) in model.layers.iter().enumerate() {
             let wl = LayerWorkload::synthesize(
                 layer,
@@ -93,20 +134,27 @@ impl Runner {
                 centro,
                 workload_seed(self.seed, &model.name, &layer.name),
             );
-            let out_bytes = util::to_index(layer.output_activations()) * cfg.word_bits / 8;
-            let output_fits = out_bytes <= cfg.glb_bytes;
-            let ctx = LayerContext {
-                cfg: &cfg,
-                dram: &self.dram,
-                energy: &self.energy,
-                workload: &wl,
-                input_on_chip,
-                output_fits_on_chip: output_fits,
-            };
-            stats.layers.push(acc.simulate_layer(&ctx));
-            input_on_chip = output_fits;
+            let out_acts = util::to_index(layer.output_activations());
+            for (((acc, cfg), run), on_chip) in accs
+                .iter()
+                .zip(&cfgs)
+                .zip(&mut runs)
+                .zip(&mut input_on_chip)
+            {
+                let output_fits = out_acts * cfg.word_bits / 8 <= cfg.glb_bytes;
+                let ctx = LayerContext {
+                    cfg,
+                    dram: &self.dram,
+                    energy: &self.energy,
+                    workload: &wl,
+                    input_on_chip: *on_chip,
+                    output_fits_on_chip: output_fits,
+                };
+                run.layers.push(acc.simulate_layer(&ctx));
+                *on_chip = output_fits;
+            }
         }
-        stats
+        runs
     }
 
     /// Simulates an annotated typed IR model (`Ir → LayerWorkload`
@@ -234,52 +282,139 @@ impl Runner {
         stats
     }
 
-    /// Simulates every (accelerator, model) pair, parallelized across
-    /// models with OS threads. Results are ordered `[model][accelerator]`.
+    /// Simulates every (accelerator, model) pair. Results are ordered
+    /// `[model][accelerator]`, and each is bit-identical to
+    /// [`Runner::run_model`] on that pair, whatever the worker count.
+    ///
+    /// The accelerators are grouped by compression scheme, in order of
+    /// first appearance, and each layer is synthesized once per
+    /// (model, scheme) and shared by every accelerator of the group (the
+    /// nine Table IV accelerators use three schemes). The (model, group)
+    /// tasks run longest first on a pool of [`util::configured_workers`]
+    /// scoped threads (the `CSCNN_NUM_THREADS` knob); each worker holds
+    /// one layer's workload at a time.
     ///
     /// # Errors
     ///
-    /// [`SimError::WorkerPanicked`] naming the first model whose worker
-    /// thread panicked. Every worker is joined before returning, so one
-    /// poisoned model cannot abort the others mid-simulation.
+    /// [`SimError::WorkerPanicked`] naming the lowest-index model whose
+    /// simulation panicked. Every worker is joined before returning, so
+    /// one poisoned model cannot abort the others mid-simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `CSCNN_NUM_THREADS` is set but invalid.
     pub fn run_suite(
         &self,
         accelerators: &[Box<dyn Accelerator>],
         models: &[ModelDesc],
     ) -> Result<Vec<Vec<RunStats>>, SimError> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = models
-                .iter()
-                .map(|model| {
-                    let handle = scope.spawn(move || {
-                        accelerators
-                            .iter()
-                            .map(|acc| self.run_model(acc.as_ref(), model))
-                            .collect::<Vec<_>>()
-                    });
-                    (model, handle)
+        let groups = scheme_groups(accelerators);
+        let mut tasks: Vec<(u64, usize, usize)> = models
+            .iter()
+            .enumerate()
+            .flat_map(|(m, model)| {
+                let cost = model_cost(model);
+                groups.iter().enumerate().map(move |(g, (_, members))| {
+                    (cost.saturating_mul(util::to_count(members.len())), m, g)
+                })
+            })
+            .collect();
+        // Longest first; ties in index order.
+        tasks.sort_unstable_by_key(|&(cost, m, g)| (Reverse(cost), m, g));
+
+        let workers = util::configured_workers().min(tasks.len());
+        // The next task to take. It publishes no data (tasks are read-only
+        // and results come back through `join`), so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        type Done = (usize, usize, Option<Vec<RunStats>>);
+        let done: Vec<Vec<Done>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(&(_, m, g)) = tasks.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let (scheme, members) = &groups[g];
+                            let model = &models[m];
+                            // A panicking accelerator fails only its own
+                            // task, not the worker's remaining queue.
+                            let runs = catch_unwind(AssertUnwindSafe(|| {
+                                let accs: Vec<&dyn Accelerator> =
+                                    members.iter().map(|&a| accelerators[a].as_ref()).collect();
+                                let mc = ModelCompression::new(model.clone(), *scheme);
+                                self.simulate_group(&accs, *scheme, model, &mc.profile)
+                            }));
+                            done.push((m, g, runs.ok()));
+                        }
+                        done
+                    })
                 })
                 .collect();
-            // Join *every* handle (an unjoined panicked handle would
-            // re-panic at scope exit), remembering the first failure.
-            let mut results = Vec::with_capacity(models.len());
-            let mut first_panic: Option<SimError> = None;
-            for (model, handle) in handles {
-                match handle.join() {
-                    Ok(row) => results.push(row),
-                    Err(_) => {
-                        first_panic.get_or_insert(SimError::WorkerPanicked {
-                            model: model.name.clone(),
-                        });
+            // Join *every* handle. A worker lost outside `catch_unwind`
+            // leaves its tasks' slots empty, which fails their models below.
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_default())
+                .collect()
+        });
+
+        let mut slots: Vec<Vec<Option<RunStats>>> = models
+            .iter()
+            .map(|_| accelerators.iter().map(|_| None).collect())
+            .collect();
+        for (m, g, runs) in done.into_iter().flatten() {
+            for (&a, run) in groups[g].1.iter().zip(runs.into_iter().flatten()) {
+                slots[m][a] = Some(run);
+            }
+        }
+        // Collecting stops at the first incomplete row: the lowest-index
+        // failing model.
+        slots
+            .into_iter()
+            .zip(models)
+            .map(|(row, model)| {
+                row.into_iter().collect::<Option<Vec<_>>>().ok_or_else(|| {
+                    SimError::WorkerPanicked {
+                        model: model.name.clone(),
                     }
-                }
-            }
-            match first_panic {
-                Some(err) => Err(err),
-                None => Ok(results),
-            }
-        })
+                })
+            })
+            .collect()
     }
+}
+
+/// Groups accelerator indices by compression scheme, in order of first
+/// appearance.
+fn scheme_groups(accelerators: &[Box<dyn Accelerator>]) -> Vec<(CompressionScheme, Vec<usize>)> {
+    let mut groups: Vec<(CompressionScheme, Vec<usize>)> = Vec::new();
+    for (a, acc) in accelerators.iter().enumerate() {
+        let scheme = acc.scheme();
+        match groups.iter_mut().find(|(s, _)| *s == scheme) {
+            Some((_, members)) => members.push(a),
+            None => groups.push((scheme, vec![a])),
+        }
+    }
+    groups
+}
+
+/// Relative cost of simulating `model` on one accelerator, from layer
+/// geometry alone: per layer, the binomial draws workload synthesis makes
+/// (one per `(k, c/groups)` conv slice, one per FC output) plus the output
+/// activations the PE models walk. [`Runner::run_suite`] scales it by the
+/// group size to order its tasks longest first; it never affects a result.
+fn model_cost(model: &ModelDesc) -> u64 {
+    model
+        .layers
+        .iter()
+        .map(|layer| {
+            let draws = if layer.kind == LayerKind::FullyConnected {
+                layer.k
+            } else {
+                layer.k * (layer.c / layer.groups)
+            };
+            util::to_count(draws).saturating_add(layer.output_activations())
+        })
+        .fold(0, u64::saturating_add)
 }
 
 /// Validates an IR's graph topology, wrapping failures in
@@ -338,22 +473,131 @@ mod tests {
         assert!(cscnn.speedup_over(&scnn) > 1.0, "vs SCNN");
     }
 
+    /// Every number of a run, floats as `to_bits`.
+    fn run_bits(run: &RunStats) -> Vec<(String, Vec<u64>)> {
+        run.layers
+            .iter()
+            .map(|l| {
+                let c = &l.counters;
+                let e = &l.energy;
+                let mut bits = vec![l.compute_cycles, l.effective_mults];
+                bits.extend([
+                    c.mults,
+                    c.adds,
+                    c.wb_reads,
+                    c.ib_reads,
+                    c.ab_accesses,
+                    c.ob_writes,
+                    c.crossbar_words,
+                    c.ccu_ops,
+                    c.ppu_ops,
+                    c.index_reads,
+                    c.dram_bits,
+                ]);
+                bits.extend(
+                    [
+                        l.dram_time_s,
+                        l.time_s,
+                        e.compute_pj,
+                        e.memory_pj,
+                        e.others_pj,
+                        e.dram_pj,
+                        e.mul_array_pj,
+                        e.ib_ob_pj,
+                        e.wb_pj,
+                        e.ab_pj,
+                        e.crossbar_pj,
+                        e.ccu_pj,
+                        e.ppu_pj,
+                    ]
+                    .map(f64::to_bits),
+                );
+                (l.name.clone(), bits)
+            })
+            .collect()
+    }
+
+    /// A small model with a depthwise and a grouped layer.
+    fn tiny_grouped() -> ModelDesc {
+        use cscnn_models::LayerDesc;
+        ModelDesc::new(
+            "TinyGrouped",
+            vec![
+                LayerDesc::conv("conv1", 3, 16, 3, 3, 16, 16, 1, 1),
+                LayerDesc::grouped("dw2", 16, 16, 3, 3, 16, 16, 1, 1, 16),
+                LayerDesc::grouped("gconv3", 16, 32, 3, 3, 16, 16, 2, 1, 4),
+                LayerDesc::conv("pw4", 32, 32, 1, 1, 8, 8, 1, 0),
+                LayerDesc::fc("fc5", 32 * 8 * 8, 10),
+            ],
+        )
+    }
+
+    /// CSCNN, DCNN, SCNN, planar-tiled CSCNN, SparTen: the CSCNN+Pruning
+    /// and Deep-Compression groups are both non-contiguous.
+    fn interleaved_schemes() -> Vec<Box<dyn Accelerator>> {
+        use crate::tiling::TilingStrategy;
+        vec![
+            Box::new(CartesianAccelerator::cscnn()),
+            Box::new(baselines::dcnn()),
+            Box::new(CartesianAccelerator::scnn()),
+            Box::new(CartesianAccelerator::cscnn().with_tiling(TilingStrategy::Planar)),
+            Box::new(baselines::sparten()),
+        ]
+    }
+
     #[test]
     fn parallel_suite_equals_sequential_runs() {
-        // The threaded suite must produce bit-identical results to
-        // sequential simulation (no shared mutable state, no ordering
-        // effects).
+        // Sharing a workload across a scheme group and scheduling tasks on
+        // a pool must not change a single bit of any (model, accelerator)
+        // result.
         let runner = Runner::new(9);
-        let accs = baselines::evaluation_accelerators();
-        let models = vec![catalog::lenet5(), catalog::convnet()];
-        let parallel = runner.run_suite(&accs, &models).expect("no worker panics");
-        for (mi, model) in models.iter().enumerate() {
-            for (ai, acc) in accs.iter().enumerate() {
+        let accs = interleaved_schemes();
+        let models = vec![catalog::lenet5(), tiny_grouped(), catalog::convnet()];
+        let suite = runner.run_suite(&accs, &models).expect("no worker panics");
+        assert_eq!(suite.len(), models.len());
+        for (row, model) in suite.iter().zip(&models) {
+            assert_eq!(row.len(), accs.len());
+            for (run, acc) in row.iter().zip(&accs) {
                 let seq = runner.run_model(acc.as_ref(), model);
-                assert_eq!(seq.total_cycles(), parallel[mi][ai].total_cycles());
-                assert_eq!(seq.total_on_chip_pj(), parallel[mi][ai].total_on_chip_pj());
+                assert_eq!(run.model, seq.model);
+                assert_eq!(run.accelerator, seq.accelerator);
+                assert_eq!(
+                    run_bits(run),
+                    run_bits(&seq),
+                    "{} on {}",
+                    model.name,
+                    acc.name()
+                );
             }
         }
+    }
+
+    #[test]
+    fn explicit_profile_matches_run_model_and_checks_its_length() {
+        let runner = Runner::new(5);
+        let model = tiny_grouped();
+        let acc = CartesianAccelerator::cscnn();
+        let mut profile = ModelCompression::new(model.clone(), acc.scheme()).profile;
+        let with_profile = runner
+            .run_model_with_profile(&acc, &model, &profile)
+            .expect("profile matches the model");
+        assert_eq!(
+            run_bits(&with_profile),
+            run_bits(&runner.run_model(&acc, &model))
+        );
+        profile.activation_density.pop();
+        let err = runner
+            .run_model_with_profile(&acc, &model, &profile)
+            .expect_err("short profile");
+        assert_eq!(
+            err,
+            SimError::ProfileLength {
+                model: "TinyGrouped".into(),
+                expected: 5,
+                got: 4,
+            }
+        );
+        assert!(err.to_string().contains("TinyGrouped"), "{err}");
     }
 
     #[test]
@@ -438,7 +682,8 @@ mod tests {
     fn suite_surfaces_worker_panics_as_typed_errors() {
         use crate::interface::{Characteristics, LayerContext};
         use crate::report::LayerStats;
-        struct Exploding;
+        /// Panics on the layers with the given names.
+        struct Exploding(&'static [&'static str]);
         impl Accelerator for Exploding {
             fn name(&self) -> &'static str {
                 "Exploding"
@@ -453,14 +698,30 @@ mod tests {
                     dataflow: "-",
                 }
             }
-            fn simulate_layer(&self, _ctx: &LayerContext<'_>) -> LayerStats {
-                panic!("injected fault")
+            fn simulate_layer(&self, ctx: &LayerContext<'_>) -> LayerStats {
+                let layer = &ctx.workload.layer.name;
+                assert!(
+                    !self.0.contains(&layer.as_str()),
+                    "injected fault on {layer}"
+                );
+                LayerStats::default()
             }
         }
         let runner = Runner::new(4);
-        let accs: Vec<Box<dyn Accelerator>> = vec![Box::new(Exploding)];
-        let models = vec![catalog::lenet5()];
-        let err = runner.run_suite(&accs, &models).expect_err("worker panics");
+        // LeNet-5 has a layer `C3` and ConvNet a layer `conv3`; the tiny
+        // model has neither. ConvNet is the larger, so its task runs
+        // first, but LeNet-5 has the lower index and is the one named.
+        let models = vec![tiny_grouped(), catalog::lenet5(), catalog::convnet()];
+        let suite = |faulty: &'static [&'static str]| {
+            // The exploding accelerator shares the Dense group with DCNN.
+            let accs: Vec<Box<dyn Accelerator>> = vec![
+                Box::new(CartesianAccelerator::cscnn()),
+                Box::new(baselines::dcnn()),
+                Box::new(Exploding(faulty)),
+            ];
+            runner.run_suite(&accs, &models)
+        };
+        let err = suite(&["C3", "conv3"]).expect_err("worker panics");
         assert_eq!(
             err,
             SimError::WorkerPanicked {
@@ -468,6 +729,16 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("LeNet-5"));
+        let err = suite(&["conv3"]).expect_err("worker panics");
+        assert_eq!(
+            err,
+            SimError::WorkerPanicked {
+                model: "ConvNet".into()
+            }
+        );
+        let rows = suite(&[]).expect("healthy suite");
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|row| row.len() == 3));
     }
 
     #[test]

@@ -154,12 +154,13 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
     }
 }
 
-/// Default worker-pool size for batched simulation: the validated
+/// Worker-pool size for batched simulation and for
+/// [`Runner::run_suite`](crate::Runner::run_suite): the validated
 /// `CSCNN_NUM_THREADS` environment variable when set (the same knob that
 /// sizes the tensor-kernel thread pool in `cscnn-tensor`, so one setting
 /// covers both halves of the system), else the machine's available
-/// parallelism, else 4. Worker counts never affect results — batching is
-/// bit-identical to sequential simulation by construction.
+/// parallelism, else 4. Worker counts never affect results — both pools
+/// are bit-identical to sequential simulation by construction.
 ///
 /// # Panics
 ///

@@ -184,3 +184,100 @@ fn table_iv_characteristics_match_paper() {
     );
     assert_eq!(find("CSCNN").characteristics().sparsity, "A+W");
 }
+
+/// Every number of a run, floats as `to_bits`.
+fn run_bits(run: &cscnn::sim::RunStats) -> Vec<(String, Vec<u64>)> {
+    run.layers
+        .iter()
+        .map(|l| {
+            let c = &l.counters;
+            let e = &l.energy;
+            let mut bits = vec![
+                l.compute_cycles,
+                l.effective_mults,
+                c.mults,
+                c.adds,
+                c.wb_reads,
+                c.ib_reads,
+                c.ab_accesses,
+                c.ob_writes,
+                c.crossbar_words,
+                c.ccu_ops,
+                c.ppu_ops,
+                c.index_reads,
+                c.dram_bits,
+            ];
+            bits.extend(
+                [
+                    l.dram_time_s,
+                    l.time_s,
+                    e.compute_pj,
+                    e.memory_pj,
+                    e.others_pj,
+                    e.dram_pj,
+                    e.mul_array_pj,
+                    e.ib_ob_pj,
+                    e.wb_pj,
+                    e.ab_pj,
+                    e.crossbar_pj,
+                    e.ccu_pj,
+                    e.ppu_pj,
+                ]
+                .map(f64::to_bits),
+            );
+            (l.name.clone(), bits)
+        })
+        .collect()
+}
+
+#[test]
+fn suite_shares_workloads_without_changing_a_bit() {
+    // CSCNN+Pruning and Deep Compression each appear non-contiguously, so
+    // both scheme groups gather accelerators from across the list.
+    let accs: Vec<Box<dyn Accelerator>> = vec![
+        Box::new(CartesianAccelerator::cscnn()),
+        Box::new(baselines::dcnn()),
+        Box::new(CartesianAccelerator::scnn()),
+        Box::new(CartesianAccelerator::cscnn().with_tiling(TilingStrategy::OutputChannel)),
+        Box::new(baselines::sparten()),
+    ];
+    // ShuffleNet-V2 brings depthwise convs; LeNet-5 and ConvNet are plain.
+    let models = [
+        catalog::lenet5(),
+        catalog::shufflenet_v2(),
+        catalog::convnet(),
+    ];
+    let runner = Runner::new(106);
+    let suite = runner.run_suite(&accs, &models).expect("no worker panics");
+    assert_eq!(suite.len(), models.len());
+    for (row, model) in suite.iter().zip(&models) {
+        assert_eq!(row.len(), accs.len());
+        for (run, acc) in row.iter().zip(&accs) {
+            let seq = runner.run_model(acc.as_ref(), model);
+            assert_eq!(
+                (&run.model, &run.accelerator),
+                (&seq.model, &seq.accelerator)
+            );
+            assert_eq!(
+                run_bits(run),
+                run_bits(&seq),
+                "{} on {}",
+                model.name,
+                acc.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn suite_of_no_models_or_no_accelerators_is_empty() {
+    let runner = Runner::new(108);
+    let rows = runner
+        .run_suite(&baselines::evaluation_accelerators(), &[])
+        .expect("no models");
+    assert!(rows.is_empty());
+    let models = [catalog::lenet5(), catalog::convnet()];
+    let rows = runner.run_suite(&[], &models).expect("no accelerators");
+    assert_eq!(rows.len(), models.len());
+    assert!(rows.iter().all(Vec::is_empty));
+}
