@@ -44,7 +44,9 @@ echo "== suite pool determinism across thread counts"
 for threads in 1 4; do
     echo "-- CSCNN_NUM_THREADS=$threads"
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim --lib runner
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim --lib batch
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_sim
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_batch
 done
 
 echo "== kernels bench smoke run (schema check)"

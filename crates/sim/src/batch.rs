@@ -13,7 +13,7 @@
 //! confirmation) and each request is simulated from the same shared
 //! workloads in isolation.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use cscnn_ir::{ModelIr, SparsityAnnotation};
@@ -21,7 +21,7 @@ use cscnn_ir::{ModelIr, SparsityAnnotation};
 use crate::error::SimError;
 use crate::interface::Accelerator;
 use crate::report::RunStats;
-use crate::runner::Runner;
+use crate::runner::{run_pool, validate_ir, Runner};
 use crate::util::{count_from_f64, det_sum, to_count, to_index};
 use crate::workload::LayerWorkload;
 
@@ -72,7 +72,12 @@ impl WorkloadCache {
             state.hits += 1;
             return Ok(state.entries[pos].workloads.clone());
         }
-        let workloads = Arc::new(runner.ir_workloads(ir, centro)?);
+        let workloads: Arc<Vec<_>> = Arc::new(
+            ir.nodes
+                .iter()
+                .map(|node| runner.node_workload(ir, node, centro))
+                .collect::<Result<_, _>>()?,
+        );
         state.misses += 1;
         state.entries.push(CacheEntry {
             hash,
@@ -291,18 +296,20 @@ impl BatchRunner {
 
     /// Simulates every request of a batch on one accelerator.
     ///
-    /// Requests are scheduled across the worker pool with a strided
-    /// assignment; structurally identical requests (same annotated IR)
-    /// share one workload synthesis through the cache. `stats.runs[i]` is
-    /// bit-identical to `runner.run_ir(acc, &requests[i])`.
+    /// Requests run in request order on the simulation worker pool shared
+    /// with [`Runner::run_suite`]; structurally identical requests (same
+    /// annotated IR) share one workload synthesis through the cache.
+    /// `stats.runs[i]` is bit-identical to `runner.run_ir(acc, &requests[i])`.
     ///
     /// # Errors
     ///
     /// The first failing request *by request index* (deterministic, not
-    /// discovery order): [`SimError::MissingSparsity`] for unannotated
-    /// weight nodes, [`SimError::WorkerPanicked`] naming the request's
-    /// model when an accelerator model panics mid-simulation. Every worker
-    /// is joined before returning.
+    /// discovery order): [`SimError::BadTopology`],
+    /// [`SimError::MissingSparsity`] or [`SimError::SparsityOutOfRange`]
+    /// exactly as [`Runner::run_ir`] reports them, and
+    /// [`SimError::WorkerPanicked`] naming the request's model when an
+    /// accelerator model panics mid-simulation. Every worker is joined
+    /// before returning.
     pub fn run_batch(
         &self,
         acc: &dyn Accelerator,
@@ -310,87 +317,34 @@ impl BatchRunner {
     ) -> Result<BatchStats, SimError> {
         let centro = acc.scheme().uses_centrosymmetric();
         let cache = WorkloadCache::default();
-        let workers = self.planned_workers(requests.len());
-        if workers == 0 {
-            return Ok(BatchStats::default());
-        }
-        type Slot = Result<(RunStats, Option<f64>), SimError>;
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        slots.resize_with(requests.len(), || None);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cache = &cache;
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, Slot)> = Vec::new();
-                        for (i, ir) in requests.iter().enumerate().skip(w).step_by(workers) {
-                            // A panicking accelerator model must fail only
-                            // this request (typed, naming its model), not
-                            // take the worker's whole stride down.
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                crate::runner::validate_ir(ir)?;
-                                let workloads =
-                                    cache.get_or_synthesize(&self.runner, ir, centro)?;
-                                let run = self.runner.simulate_prepared(acc, ir, &workloads);
-                                if self.sub_arrays > 1 {
-                                    let sched = crate::schedule::overlap(ir, run, self.sub_arrays);
-                                    Ok((sched.run, Some(sched.makespan_s)))
-                                } else {
-                                    Ok((run, None))
-                                }
-                            }))
-                            .unwrap_or_else(|_| {
-                                Err(SimError::WorkerPanicked {
-                                    model: ir.name.clone(),
-                                })
-                            });
-                            done.push((i, result));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(done) => {
-                        for (i, result) in done {
-                            slots[i] = Some(result);
-                        }
-                    }
-                    // catch_unwind above makes this unreachable in practice;
-                    // keep the run_suite-style fallback so a pathological
-                    // panic still surfaces as a typed error.
-                    Err(_) => {
-                        if let Some(ir) = requests.iter().skip(w).step_by(workers).next() {
-                            slots[w] = Some(Err(SimError::WorkerPanicked {
-                                model: ir.name.clone(),
-                            }));
-                        }
-                    }
-                }
-            }
+        let order: Vec<usize> = (0..requests.len()).collect();
+        let done = run_pool(&order, self.planned_workers(requests.len()), |i| {
+            let ir = &requests[i];
+            validate_ir(ir)?;
+            let workloads = cache.get_or_synthesize(&self.runner, ir, centro)?;
+            let cached = workloads.iter().map(|wl| Ok::<_, Infallible>(wl.as_ref()));
+            let Ok(mut runs) =
+                self.runner
+                    .simulate_nodes(&[acc], &ir.name, |n| ir.predecessors(n), cached);
+            let run = runs.remove(0);
+            Ok(if self.sub_arrays > 1 {
+                let sched = crate::schedule::overlap(ir, run, self.sub_arrays);
+                (sched.run, Some(sched.makespan_s))
+            } else {
+                (run, None)
+            })
         });
 
         let mut runs = Vec::with_capacity(requests.len());
         let mut overlapped_latency_s = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok((stats, makespan))) => {
-                    runs.push(stats);
-                    if let Some(m) = makespan {
-                        overlapped_latency_s.push(m);
-                    }
-                }
-                Some(Err(err)) => return Err(err),
-                None => {
-                    // A lost slot means its worker died without reporting;
-                    // name the request so the failure is actionable.
-                    return Err(SimError::WorkerPanicked {
-                        model: requests[i].name.clone(),
-                    });
-                }
-            }
+        for (result, ir) in done.into_iter().zip(requests) {
+            let (run, makespan) = result.unwrap_or_else(|| {
+                Err(SimError::WorkerPanicked {
+                    model: ir.name.clone(),
+                })
+            })?;
+            runs.push(run);
+            overlapped_latency_s.extend(makespan);
         }
         let state = cache
             .entries
@@ -448,20 +402,9 @@ impl BatchRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::tests::{annotated_ir, tiny_grouped, Exploding};
     use crate::CartesianAccelerator;
-    use cscnn_models::{catalog, lower, ModelCompression};
-
-    fn annotated_ir(model: &cscnn_models::ModelDesc, acc: &dyn Accelerator) -> ModelIr {
-        let mc = ModelCompression::new(model.clone(), acc.scheme());
-        let mut ir = lower::to_ir(model);
-        for (i, node) in ir.weight_nodes_mut().enumerate() {
-            node.set_sparsity(SparsityAnnotation {
-                weight_density: mc.profile.weight_density[i],
-                activation_density: mc.profile.activation_density[i],
-            });
-        }
-        ir
-    }
+    use cscnn_models::{catalog, lower};
 
     #[test]
     fn batch_matches_sequential_and_dedups_synthesis() {
@@ -624,38 +567,75 @@ mod tests {
 
     #[test]
     fn panicking_accelerator_fails_only_with_a_typed_error() {
-        use crate::interface::{Characteristics, LayerContext};
-        use crate::report::LayerStats;
-        struct Exploding;
-        impl Accelerator for Exploding {
-            fn name(&self) -> &'static str {
-                "Exploding"
-            }
-            fn scheme(&self) -> cscnn_models::CompressionScheme {
-                cscnn_models::CompressionScheme::Dense
-            }
-            fn characteristics(&self) -> Characteristics {
-                Characteristics {
-                    compression: "-",
-                    sparsity: "-",
-                    dataflow: "-",
-                }
-            }
-            fn simulate_layer(&self, _ctx: &LayerContext<'_>) -> LayerStats {
-                panic!("injected fault")
-            }
-        }
-        let acc = Exploding;
         let ir = annotated_ir(&catalog::lenet5(), &CartesianAccelerator::cscnn());
         let err = BatchRunner::new(Runner::new(2))
             .with_workers(2)
-            .run_batch(&acc, &[ir])
+            .run_batch(&Exploding(&["C1"]), &[ir])
             .expect_err("accelerator panics");
         assert_eq!(
             err,
             SimError::WorkerPanicked {
                 model: "LeNet-5".into()
             }
+        );
+    }
+
+    #[test]
+    fn lowest_index_failure_is_named_across_workers() {
+        // LeNet-5 has a layer `C3` and ConvNet a layer `conv3`; the tiny
+        // model has neither. Several requests fail on different workers,
+        // and the error always names the lowest-index one.
+        let cscnn = CartesianAccelerator::cscnn();
+        let tiny = annotated_ir(&tiny_grouped(), &cscnn);
+        let lenet = annotated_ir(&catalog::lenet5(), &cscnn);
+        let convnet = annotated_ir(&catalog::convnet(), &cscnn);
+        let batch = BatchRunner::new(Runner::new(8)).with_workers(3);
+        let acc = Exploding(&["C3", "conv3"]);
+        for (requests, named) in [
+            (
+                vec![
+                    tiny.clone(),
+                    convnet.clone(),
+                    lenet.clone(),
+                    convnet.clone(),
+                ],
+                "ConvNet",
+            ),
+            (vec![tiny.clone(), tiny, lenet, convnet], "LeNet-5"),
+        ] {
+            let err = batch.run_batch(&acc, &requests).expect_err("requests fail");
+            assert_eq!(
+                err,
+                SimError::WorkerPanicked {
+                    model: named.into()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn run_batch_rejects_out_of_range_sparsity_by_request_index() {
+        let acc = CartesianAccelerator::cscnn();
+        let good = annotated_ir(&catalog::lenet5(), &acc);
+        let bad = |weight_density: f64| {
+            let mut ir = good.clone();
+            ir.weight_nodes_mut()
+                .next()
+                .expect("LeNet-5 has weight layers")
+                .set_sparsity(SparsityAnnotation {
+                    weight_density,
+                    activation_density: 0.5,
+                });
+            ir
+        };
+        let err = BatchRunner::new(Runner::new(1))
+            .with_workers(2)
+            .run_batch(&acc, &[good.clone(), bad(1.5), good.clone(), bad(f64::NAN)])
+            .expect_err("second request out of range");
+        assert!(
+            matches!(&err, SimError::SparsityOutOfRange { layer, field, value }
+                if layer == "C1" && *field == "weight_density" && *value == 1.5),
+            "{err}"
         );
     }
 }

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A simulation input the model cannot process.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// A compressed-fiber coordinate lies outside the PE geometry.
     FiberOutOfRange {
@@ -27,16 +27,6 @@ pub enum SimError {
         /// Why it is rejected.
         reason: &'static str,
     },
-    /// A sparsity profile's length disagrees with its model's layer count
-    /// ([`Runner::run_model_with_profile`](crate::Runner::run_model_with_profile)).
-    ProfileLength {
-        /// The model's name.
-        model: String,
-        /// Layers in the model.
-        expected: usize,
-        /// Densities the profile supplied.
-        got: usize,
-    },
     /// A suite or batch worker panicked while simulating a model.
     WorkerPanicked {
         /// The model the panicking worker was simulating.
@@ -47,6 +37,16 @@ pub enum SimError {
     MissingSparsity {
         /// The offending layer's name.
         layer: String,
+    },
+    /// An IR node's [`cscnn_ir::SparsityAnnotation`] carries a density
+    /// outside `[0, 1]` (or NaN).
+    SparsityOutOfRange {
+        /// The offending layer's name.
+        layer: String,
+        /// The offending annotation field (`"weight_density"`, …).
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
     },
     /// An IR reached the simulator with a malformed graph topology
     /// (dangling or backward edge, cycle, bad join arity).
@@ -80,17 +80,6 @@ impl fmt::Display for SimError {
             SimError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config: {field} {reason}")
             }
-            SimError::ProfileLength {
-                model,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "sparsity profile for model `{model}` has {got} densities \
-                     but the model has {expected} layers"
-                )
-            }
             SimError::WorkerPanicked { model } => {
                 write!(f, "simulation worker for model `{model}` panicked")
             }
@@ -100,6 +89,13 @@ impl fmt::Display for SimError {
                     "layer `{layer}` has no sparsity annotation; annotate the IR \
                      before simulating"
                 )
+            }
+            SimError::SparsityOutOfRange {
+                layer,
+                field,
+                value,
+            } => {
+                write!(f, "layer `{layer}` has {field} {value} outside [0, 1]")
             }
             SimError::BadTopology { model, error } => {
                 write!(f, "model `{model}` has an invalid graph topology: {error}")

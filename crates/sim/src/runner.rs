@@ -1,11 +1,13 @@
 //! Whole-network and suite simulation driver.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cscnn_ir::ModelIr;
-use cscnn_models::{CompressionScheme, LayerKind, ModelCompression, ModelDesc, SparsityProfile};
+use cscnn_ir::{LayerNode, ModelIr};
+use cscnn_models::{CompressionScheme, LayerKind, ModelCompression, ModelDesc};
 
 use crate::dram::DramConfig;
 use crate::energy::EnergyTable;
@@ -60,101 +62,119 @@ impl Runner {
     /// are considered on-chip when the previous layer's output fit in the
     /// global buffer.
     pub fn run_model(&self, acc: &dyn Accelerator, model: &ModelDesc) -> RunStats {
-        let scheme = acc.scheme();
-        let mc = ModelCompression::new(model.clone(), scheme);
         // One accelerator in, one run out.
-        self.simulate_group(&[acc], scheme, model, &mc.profile)
-            .remove(0)
+        self.simulate_chain(&[acc], acc.scheme(), model).remove(0)
     }
 
-    /// Like [`Runner::run_model`], but with an explicit sparsity profile —
-    /// e.g. one *measured* from a trained network's activations rather
-    /// than calibrated from published targets.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ProfileLength`] naming the model and both lengths when
-    /// the profile does not carry one weight and one activation density
-    /// per layer.
-    pub fn run_model_with_profile(
-        &self,
-        acc: &dyn Accelerator,
-        model: &ModelDesc,
-        profile: &SparsityProfile,
-    ) -> Result<RunStats, SimError> {
-        let layers = model.layers.len();
-        for got in [
-            profile.weight_density.len(),
-            profile.activation_density.len(),
-        ] {
-            if got != layers {
-                return Err(SimError::ProfileLength {
-                    model: model.name.clone(),
-                    expected: layers,
-                    got,
-                });
-            }
-        }
-        Ok(self
-            .simulate_group(&[acc], acc.scheme(), model, profile)
-            .remove(0))
-    }
-
-    /// Simulates one model on a group of accelerators that share the
-    /// compression `scheme`, layer by layer. Each layer's workload is
-    /// synthesized once, simulated on every accelerator of the group, and
-    /// dropped before the next layer's is drawn, so one workload is alive
-    /// at a time. Each accelerator keeps its own [`ArchConfig`] and its own
-    /// on-chip input chain, so `runs[j]` is bit-identical to simulating
-    /// `accs[j]` alone. `profile` must match `model`'s length.
-    fn simulate_group(
+    /// Simulates a `ModelDesc` as a linear chain on a group of accelerators
+    /// that share the compression `scheme`: the calibrated profile supplies
+    /// each layer's densities, and each layer's workload is synthesized on
+    /// the spot and dropped after the layer.
+    fn simulate_chain(
         &self,
         accs: &[&dyn Accelerator],
         scheme: CompressionScheme,
         model: &ModelDesc,
-        profile: &SparsityProfile,
     ) -> Vec<RunStats> {
         debug_assert!(accs.iter().all(|acc| acc.scheme() == scheme));
         let centro = scheme.uses_centrosymmetric();
-        let cfgs: Vec<ArchConfig> = accs.iter().map(|acc| acc.config()).collect();
-        let mut runs: Vec<RunStats> = accs
-            .iter()
-            .map(|acc| RunStats {
-                accelerator: acc.name().to_string(),
-                model: model.name.clone(),
-                layers: Vec::with_capacity(model.layers.len()),
-            })
-            .collect();
-        let mut input_on_chip = vec![false; accs.len()];
-        for (i, layer) in model.layers.iter().enumerate() {
-            let wl = LayerWorkload::synthesize(
+        let profile = ModelCompression::new(model.clone(), scheme).profile;
+        let workloads = model.layers.iter().enumerate().map(|(i, layer)| {
+            Ok::<_, Infallible>(Some(LayerWorkload::synthesize(
                 layer,
                 profile.weight_density[i],
                 profile.activation_density[i],
                 centro,
                 workload_seed(self.seed, &model.name, &layer.name),
-            );
-            let out_acts = util::to_index(layer.output_activations());
-            for (((acc, cfg), run), on_chip) in accs
-                .iter()
-                .zip(&cfgs)
-                .zip(&mut runs)
-                .zip(&mut input_on_chip)
-            {
-                let output_fits = out_acts * cfg.word_bits / 8 <= cfg.glb_bytes;
+            )))
+        });
+        let chain = |i: usize| i.checked_sub(1).into_iter().collect();
+        let Ok(runs) = self.simulate_nodes(accs, &model.name, chain, workloads);
+        runs
+    }
+
+    /// Synthesizes the workload of `node`, one of `ir`'s nodes, seeded by
+    /// the model and node names (`None` for a node the simulator does not
+    /// time). Seeds never depend on list position, so workloads are
+    /// invariant under topological reordering of the node list.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`LayerWorkload::from_node`].
+    pub(crate) fn node_workload(
+        &self,
+        ir: &ModelIr,
+        node: &LayerNode,
+        centro: bool,
+    ) -> Result<Option<LayerWorkload>, SimError> {
+        let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
+        LayerWorkload::from_node(node, centro, seed)
+    }
+
+    /// The one per-node timing loop behind [`Runner::run_model`],
+    /// [`Runner::run_suite`], [`Runner::run_ir`] and
+    /// [`crate::BatchRunner`]. It walks a model's nodes in order and times
+    /// each timed node on every accelerator of `accs`.
+    ///
+    /// `workloads` yields node `i`'s workload, or `None` for a node the
+    /// simulator does not time (skipped in the reported layer list). It
+    /// either synthesizes each workload on the spot, so one is alive at a
+    /// time, or borrows it from the batch cache; the first error it
+    /// yields is returned. A node's input counts as on-chip when it has
+    /// predecessors (`preds(i)`) and *every* one produced an output that
+    /// fit in the global buffer; untimed nodes pass their input status
+    /// through, and a graph source streams from DRAM. For a linear chain
+    /// this is the previous-layer rule. Each accelerator keeps its own
+    /// [`ArchConfig`] and its own on-chip chain, so `runs[j]` is
+    /// bit-identical to timing `accs[j]` alone.
+    pub(crate) fn simulate_nodes<W: Borrow<LayerWorkload>, E>(
+        &self,
+        accs: &[&dyn Accelerator],
+        model: &str,
+        preds: impl Fn(usize) -> Vec<usize>,
+        workloads: impl Iterator<Item = Result<Option<W>, E>>,
+    ) -> Result<Vec<RunStats>, E> {
+        // Result vectors are sized up front: growing them between large
+        // workload allocations fragments the heap and raises peak memory.
+        let nodes = workloads.size_hint().0;
+        let cfgs: Vec<ArchConfig> = accs.iter().map(|acc| acc.config()).collect();
+        let mut runs: Vec<RunStats> = accs
+            .iter()
+            .map(|acc| RunStats {
+                accelerator: acc.name().to_string(),
+                model: model.to_string(),
+                layers: Vec::with_capacity(nodes),
+            })
+            .collect();
+        // on_chip[i * accs.len() + j]: whether node i's output is resident
+        // in accelerator j's global buffer for its consumers.
+        let mut on_chip: Vec<bool> = Vec::with_capacity(nodes * accs.len());
+        for (i, slot) in workloads.enumerate() {
+            let preds = preds(i);
+            let slot = slot?;
+            let wl: Option<&LayerWorkload> = slot.as_ref().map(Borrow::borrow);
+            for (j, ((acc, cfg), run)) in accs.iter().zip(&cfgs).zip(&mut runs).enumerate() {
+                let input_on_chip =
+                    !preds.is_empty() && preds.iter().all(|&p| on_chip[p * accs.len() + j]);
+                let Some(wl) = wl else {
+                    on_chip.push(input_on_chip);
+                    continue;
+                };
+                let out_bytes = util::to_index(wl.layer.output_activations()) * cfg.word_bits / 8;
+                let output_fits = out_bytes <= cfg.glb_bytes;
                 let ctx = LayerContext {
                     cfg,
                     dram: &self.dram,
                     energy: &self.energy,
-                    workload: &wl,
-                    input_on_chip: *on_chip,
+                    workload: wl,
+                    input_on_chip,
                     output_fits_on_chip: output_fits,
                 };
                 run.layers.push(acc.simulate_layer(&ctx));
-                *on_chip = output_fits;
+                on_chip.push(output_fits);
             }
         }
-        runs
+        Ok(runs)
     }
 
     /// Simulates an annotated typed IR model (`Ir → LayerWorkload`
@@ -172,12 +192,18 @@ impl Runner {
     ///
     /// [`SimError::BadTopology`] if the IR's graph fails
     /// [`ModelIr::validate`]; [`SimError::MissingSparsity`] naming the
-    /// first unannotated weight-bearing node.
+    /// first unannotated weight-bearing node;
+    /// [`SimError::SparsityOutOfRange`] naming the first node whose
+    /// annotation lies outside `[0, 1]`.
     pub fn run_ir(&self, acc: &dyn Accelerator, ir: &ModelIr) -> Result<RunStats, SimError> {
         validate_ir(ir)?;
         let centro = acc.scheme().uses_centrosymmetric();
-        let workloads = self.ir_workloads(ir, centro)?;
-        Ok(self.simulate_prepared(acc, ir, &workloads))
+        let workloads = ir
+            .nodes
+            .iter()
+            .map(|node| self.node_workload(ir, node, centro));
+        let mut runs = self.simulate_nodes(&[acc], &ir.name, |i| ir.predecessors(i), workloads)?;
+        Ok(runs.remove(0))
     }
 
     /// Like [`Runner::run_ir`], but additionally schedules independent
@@ -207,81 +233,6 @@ impl Runner {
         Ok(crate::schedule::overlap(ir, run, sub_arrays))
     }
 
-    /// Lowers every node of an annotated IR to its workload (`None` for the
-    /// nodes the simulator does not time), using exactly the per-layer
-    /// seeding of [`Runner::run_ir`] — this is the synthesis half of
-    /// `run_ir`, split out so [`crate::BatchRunner`]'s workload cache can
-    /// share the result across requests (`docs/batching.md`). Seeds are
-    /// keyed by the node's name (weightless nodes never consume a seed), so
-    /// workloads are invariant under topological reordering of the list.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MissingSparsity`] naming the first unannotated
-    /// weight-bearing node.
-    pub(crate) fn ir_workloads(
-        &self,
-        ir: &ModelIr,
-        centro: bool,
-    ) -> Result<Vec<Option<LayerWorkload>>, SimError> {
-        let mut workloads = Vec::with_capacity(ir.nodes.len());
-        for node in &ir.nodes {
-            let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
-            workloads.push(LayerWorkload::from_node(node, centro, seed)?);
-        }
-        Ok(workloads)
-    }
-
-    /// Simulates pre-synthesized workloads node by node — the timing half
-    /// of [`Runner::run_ir`]. `None` entries (untimed nodes) are skipped in
-    /// the reported layer list; a layer's input counts as on-chip when
-    /// *every* graph predecessor produced an output that fit in the global
-    /// buffer (untimed nodes pass their predecessors' status through). For
-    /// an implicit linear chain this reduces exactly to
-    /// [`Runner::run_model`]'s previous-layer chaining.
-    pub(crate) fn simulate_prepared(
-        &self,
-        acc: &dyn Accelerator,
-        ir: &ModelIr,
-        workloads: &[Option<LayerWorkload>],
-    ) -> RunStats {
-        debug_assert_eq!(ir.nodes.len(), workloads.len());
-        let cfg = acc.config();
-        let mut stats = RunStats {
-            accelerator: acc.name().to_string(),
-            model: ir.name.clone(),
-            ..Default::default()
-        };
-        // on_chip[i]: whether node i's output is resident in the global
-        // buffer for its consumers. Untimed nodes forward their input
-        // status (false at a graph source — the model input streams from
-        // DRAM).
-        let mut on_chip = vec![false; workloads.len()];
-        for (i, slot) in workloads.iter().enumerate() {
-            let preds = ir.predecessors(i);
-            let input_on_chip = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);
-            match slot {
-                Some(wl) => {
-                    let out_bytes =
-                        util::to_index(wl.layer.output_activations()) * cfg.word_bits / 8;
-                    let output_fits = out_bytes <= cfg.glb_bytes;
-                    let ctx = LayerContext {
-                        cfg: &cfg,
-                        dram: &self.dram,
-                        energy: &self.energy,
-                        workload: wl,
-                        input_on_chip,
-                        output_fits_on_chip: output_fits,
-                    };
-                    stats.layers.push(acc.simulate_layer(&ctx));
-                    on_chip[i] = output_fits;
-                }
-                None => on_chip[i] = input_on_chip,
-            }
-        }
-        stats
-    }
-
     /// Simulates every (accelerator, model) pair. Results are ordered
     /// `[model][accelerator]`, and each is bit-identical to
     /// [`Runner::run_model`] on that pair, whatever the worker count.
@@ -290,9 +241,10 @@ impl Runner {
     /// first appearance, and each layer is synthesized once per
     /// (model, scheme) and shared by every accelerator of the group (the
     /// nine Table IV accelerators use three schemes). The (model, group)
-    /// tasks run longest first on a pool of [`util::configured_workers`]
-    /// scoped threads (the `CSCNN_NUM_THREADS` knob); each worker holds
-    /// one layer's workload at a time.
+    /// tasks run longest first on the simulation worker pool that
+    /// [`crate::BatchRunner`] also uses, sized by
+    /// [`util::configured_workers`] (the `CSCNN_NUM_THREADS` knob); each
+    /// worker holds one layer's workload at a time.
     ///
     /// # Errors
     ///
@@ -309,78 +261,86 @@ impl Runner {
         models: &[ModelDesc],
     ) -> Result<Vec<Vec<RunStats>>, SimError> {
         let groups = scheme_groups(accelerators);
-        let mut tasks: Vec<(u64, usize, usize)> = models
-            .iter()
-            .enumerate()
-            .flat_map(|(m, model)| {
-                let cost = model_cost(model);
-                groups.iter().enumerate().map(move |(g, (_, members))| {
-                    (cost.saturating_mul(util::to_count(members.len())), m, g)
-                })
-            })
+        // Task `m * groups.len() + g` is model `m` on group `g`.
+        let tasks: Vec<(usize, usize)> = (0..models.len())
+            .flat_map(|m| (0..groups.len()).map(move |g| (m, g)))
             .collect();
-        // Longest first; ties in index order.
-        tasks.sort_unstable_by_key(|&(cost, m, g)| (Reverse(cost), m, g));
-
-        let workers = util::configured_workers().min(tasks.len());
-        // The next task to take. It publishes no data (tasks are read-only
-        // and results come back through `join`), so `Relaxed` suffices.
-        let next = AtomicUsize::new(0);
-        type Done = (usize, usize, Option<Vec<RunStats>>);
-        let done: Vec<Vec<Done>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        while let Some(&(_, m, g)) = tasks.get(next.fetch_add(1, Ordering::Relaxed))
-                        {
-                            let (scheme, members) = &groups[g];
-                            let model = &models[m];
-                            // A panicking accelerator fails only its own
-                            // task, not the worker's remaining queue.
-                            let runs = catch_unwind(AssertUnwindSafe(|| {
-                                let accs: Vec<&dyn Accelerator> =
-                                    members.iter().map(|&a| accelerators[a].as_ref()).collect();
-                                let mc = ModelCompression::new(model.clone(), *scheme);
-                                self.simulate_group(&accs, *scheme, model, &mc.profile)
-                            }));
-                            done.push((m, g, runs.ok()));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            // Join *every* handle. A worker lost outside `catch_unwind`
-            // leaves its tasks' slots empty, which fails their models below.
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_default())
-                .collect()
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        // Longest first; the sort is stable, so ties stay in index order.
+        order.sort_by_cached_key(|&t| {
+            let (m, g) = tasks[t];
+            Reverse(model_cost(&models[m]).saturating_mul(util::to_count(groups[g].1.len())))
         });
-
-        let mut slots: Vec<Vec<Option<RunStats>>> = models
-            .iter()
-            .map(|_| accelerators.iter().map(|_| None).collect())
-            .collect();
-        for (m, g, runs) in done.into_iter().flatten() {
-            for (&a, run) in groups[g].1.iter().zip(runs.into_iter().flatten()) {
-                slots[m][a] = Some(run);
-            }
-        }
+        let mut done = run_pool(&order, util::configured_workers(), |t| {
+            let (m, g) = tasks[t];
+            let (scheme, members) = &groups[g];
+            let accs: Vec<&dyn Accelerator> =
+                members.iter().map(|&a| accelerators[a].as_ref()).collect();
+            self.simulate_chain(&accs, *scheme, &models[m])
+        })
+        .into_iter();
         // Collecting stops at the first incomplete row: the lowest-index
         // failing model.
-        slots
-            .into_iter()
-            .zip(models)
-            .map(|(row, model)| {
-                row.into_iter().collect::<Option<Vec<_>>>().ok_or_else(|| {
-                    SimError::WorkerPanicked {
-                        model: model.name.clone(),
+        models
+            .iter()
+            .map(|model| {
+                let mut row: Vec<Option<RunStats>> = accelerators.iter().map(|_| None).collect();
+                for (_, members) in &groups {
+                    let runs = done
+                        .next()
+                        .flatten()
+                        .ok_or_else(|| SimError::WorkerPanicked {
+                            model: model.name.clone(),
+                        })?;
+                    for (&a, run) in members.iter().zip(runs) {
+                        row[a] = Some(run);
                     }
-                })
+                }
+                Ok(row.into_iter().flatten().collect())
             })
             .collect()
     }
+}
+
+/// The one simulation worker pool, shared by [`Runner::run_suite`] and
+/// [`crate::BatchRunner::run_batch`]: runs `task(t)` for every task index
+/// `t` of `order` on at most `workers` scoped threads, which take tasks in
+/// `order` from a shared atomic index. Each task runs under
+/// `catch_unwind`, so a panic fails only its own task, and every worker
+/// is joined before returning. Results come back by task index, `None`
+/// for a task that panicked; the order never changes a result.
+pub(crate) fn run_pool<T: Send>(
+    order: &[usize],
+    workers: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    // The next position in `order` to take. It publishes no data (results
+    // come back through `join`), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let done: Vec<Vec<(usize, Option<T>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(order.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(&t) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((t, catch_unwind(AssertUnwindSafe(|| task(t))).ok()));
+                    }
+                    done
+                })
+            })
+            .collect();
+        // Join *every* handle. A worker lost outside `catch_unwind` leaves
+        // its tasks' slots empty, which fails them like a panic.
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_default())
+            .collect()
+    });
+    let mut results: Vec<Option<T>> = order.iter().map(|_| None).collect();
+    for (t, result) in done.into_iter().flatten() {
+        results[t] = result;
+    }
+    results
 }
 
 /// Groups accelerator indices by compression scheme, in order of first
@@ -447,7 +407,7 @@ fn workload_seed(base: u64, model: &str, layer: &str) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::baselines;
     use crate::CartesianAccelerator;
@@ -518,7 +478,7 @@ mod tests {
     }
 
     /// A small model with a depthwise and a grouped layer.
-    fn tiny_grouped() -> ModelDesc {
+    pub(crate) fn tiny_grouped() -> ModelDesc {
         use cscnn_models::LayerDesc;
         ModelDesc::new(
             "TinyGrouped",
@@ -532,15 +492,25 @@ mod tests {
         )
     }
 
-    /// CSCNN, DCNN, SCNN, planar-tiled CSCNN, SparTen: the CSCNN+Pruning
-    /// and Deep-Compression groups are both non-contiguous.
+    /// CSCNN, DCNN, SCNN, planar-tiled CSCNN with an 8 KiB global buffer,
+    /// SparTen: the CSCNN+Pruning and Deep-Compression groups are both
+    /// non-contiguous, and the CSCNN+Pruning group mixes buffer sizes, so
+    /// its members' on-chip chains differ.
     fn interleaved_schemes() -> Vec<Box<dyn Accelerator>> {
         use crate::tiling::TilingStrategy;
+        let small_glb = ArchConfig {
+            glb_bytes: 8 * 1024,
+            ..CartesianAccelerator::cscnn().config()
+        };
         vec![
             Box::new(CartesianAccelerator::cscnn()),
             Box::new(baselines::dcnn()),
             Box::new(CartesianAccelerator::scnn()),
-            Box::new(CartesianAccelerator::cscnn().with_tiling(TilingStrategy::Planar)),
+            Box::new(
+                CartesianAccelerator::cscnn()
+                    .with_tiling(TilingStrategy::Planar)
+                    .with_config(small_glb),
+            ),
             Box::new(baselines::sparten()),
         ]
     }
@@ -572,56 +542,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn explicit_profile_matches_run_model_and_checks_its_length() {
-        let runner = Runner::new(5);
-        let model = tiny_grouped();
-        let acc = CartesianAccelerator::cscnn();
-        let mut profile = ModelCompression::new(model.clone(), acc.scheme()).profile;
-        let with_profile = runner
-            .run_model_with_profile(&acc, &model, &profile)
-            .expect("profile matches the model");
-        assert_eq!(
-            run_bits(&with_profile),
-            run_bits(&runner.run_model(&acc, &model))
-        );
-        profile.activation_density.pop();
-        let err = runner
-            .run_model_with_profile(&acc, &model, &profile)
-            .expect_err("short profile");
-        assert_eq!(
-            err,
-            SimError::ProfileLength {
-                model: "TinyGrouped".into(),
-                expected: 5,
-                got: 4,
-            }
-        );
-        assert!(err.to_string().contains("TinyGrouped"), "{err}");
-    }
-
-    #[test]
-    fn run_ir_matches_run_model_bit_for_bit() {
+    /// `model` lowered to a linear-chain IR and annotated with exactly the
+    /// densities `run_model` calibrates for `acc`'s scheme.
+    pub(crate) fn annotated_ir(model: &ModelDesc, acc: &dyn Accelerator) -> ModelIr {
         use cscnn_ir::SparsityAnnotation;
-        // Annotate the lowered IR with exactly the densities the
-        // ModelDesc path calibrates, then both paths must agree.
-        let model = catalog::lenet5();
-        let acc = CartesianAccelerator::cscnn();
-        let mc = cscnn_models::ModelCompression::new(model.clone(), acc.scheme());
-        let mut ir = cscnn_models::lower::to_ir(&model);
+        let mc = ModelCompression::new(model.clone(), acc.scheme());
+        let mut ir = cscnn_models::lower::to_ir(model);
         for (i, node) in ir.weight_nodes_mut().enumerate() {
             node.set_sparsity(SparsityAnnotation {
                 weight_density: mc.profile.weight_density[i],
                 activation_density: mc.profile.activation_density[i],
             });
         }
+        ir
+    }
+
+    #[test]
+    fn run_ir_matches_run_model_bit_for_bit() {
+        // Every field of every layer agrees between the ModelDesc route and
+        // the annotated IR route: on a classic chain, on depthwise and
+        // grouped layers, and on a wired DAG flattened to a ModelDesc.
         let runner = Runner::new(42);
-        let from_desc = runner.run_model(&acc, &model);
-        let from_ir = runner.run_ir(&acc, &ir).expect("annotated IR simulates");
-        assert_eq!(from_desc.layers.len(), from_ir.layers.len());
-        assert_eq!(from_desc.total_cycles(), from_ir.total_cycles());
-        assert_eq!(from_desc.total_on_chip_pj(), from_ir.total_on_chip_pj());
-        assert_eq!(from_desc.model, from_ir.model);
+        let flat_resnet =
+            cscnn_models::lower::to_model_desc(&catalog::resnet18_ir()).expect("flattens");
+        for model in [catalog::lenet5(), tiny_grouped(), flat_resnet] {
+            for acc in [CartesianAccelerator::cscnn(), CartesianAccelerator::scnn()] {
+                let from_desc = runner.run_model(&acc, &model);
+                let from_ir = runner
+                    .run_ir(&acc, &annotated_ir(&model, &acc))
+                    .expect("annotated IR simulates");
+                assert_eq!(from_desc.model, from_ir.model);
+                assert_eq!(from_desc.accelerator, from_ir.accelerator);
+                assert_eq!(
+                    run_bits(&from_desc),
+                    run_bits(&from_ir),
+                    "{} on {}",
+                    model.name,
+                    acc.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_ir_rejects_out_of_range_sparsity() {
+        let acc = CartesianAccelerator::cscnn();
+        let runner = Runner::new(42);
+        for (weight_density, activation_density, field) in [
+            (1.5, 0.5, "weight_density"),
+            (-0.25, 0.5, "weight_density"),
+            (0.5, f64::NAN, "activation_density"),
+        ] {
+            let mut ir = annotated_ir(&catalog::lenet5(), &acc);
+            ir.weight_nodes_mut()
+                .nth(1)
+                .expect("LeNet-5 has a second weight layer")
+                .set_sparsity(cscnn_ir::SparsityAnnotation {
+                    weight_density,
+                    activation_density,
+                });
+            let err = runner.run_ir(&acc, &ir).expect_err("density out of range");
+            assert!(
+                matches!(&err, SimError::SparsityOutOfRange { layer, field: f, .. }
+                    if layer == "C3" && *f == field),
+                "{err}"
+            );
+            assert!(err.to_string().contains("C3"), "{err}");
+        }
     }
 
     #[test]
@@ -639,17 +626,8 @@ mod tests {
 
     #[test]
     fn overlapping_a_linear_chain_changes_nothing_but_reporting() {
-        use cscnn_ir::SparsityAnnotation;
-        let model = catalog::lenet5();
         let acc = CartesianAccelerator::cscnn();
-        let mc = cscnn_models::ModelCompression::new(model.clone(), acc.scheme());
-        let mut ir = cscnn_models::lower::to_ir(&model);
-        for (i, node) in ir.weight_nodes_mut().enumerate() {
-            node.set_sparsity(SparsityAnnotation {
-                weight_density: mc.profile.weight_density[i],
-                activation_density: mc.profile.activation_density[i],
-            });
-        }
+        let ir = annotated_ir(&catalog::lenet5(), &acc);
         let runner = Runner::new(42);
         let sequential = runner.run_ir(&acc, &ir).expect("annotated IR");
         let sched = runner
@@ -678,35 +656,35 @@ mod tests {
         assert!(matches!(err, SimError::MissingSparsity { .. }));
     }
 
-    #[test]
-    fn suite_surfaces_worker_panics_as_typed_errors() {
-        use crate::interface::{Characteristics, LayerContext};
-        use crate::report::LayerStats;
-        /// Panics on the layers with the given names.
-        struct Exploding(&'static [&'static str]);
-        impl Accelerator for Exploding {
-            fn name(&self) -> &'static str {
-                "Exploding"
-            }
-            fn scheme(&self) -> cscnn_models::CompressionScheme {
-                cscnn_models::CompressionScheme::Dense
-            }
-            fn characteristics(&self) -> Characteristics {
-                Characteristics {
-                    compression: "-",
-                    sparsity: "-",
-                    dataflow: "-",
-                }
-            }
-            fn simulate_layer(&self, ctx: &LayerContext<'_>) -> LayerStats {
-                let layer = &ctx.workload.layer.name;
-                assert!(
-                    !self.0.contains(&layer.as_str()),
-                    "injected fault on {layer}"
-                );
-                LayerStats::default()
+    /// An accelerator that panics on the layers with the given names.
+    pub(crate) struct Exploding(pub(crate) &'static [&'static str]);
+
+    impl Accelerator for Exploding {
+        fn name(&self) -> &'static str {
+            "Exploding"
+        }
+        fn scheme(&self) -> CompressionScheme {
+            CompressionScheme::Dense
+        }
+        fn characteristics(&self) -> crate::interface::Characteristics {
+            crate::interface::Characteristics {
+                compression: "-",
+                sparsity: "-",
+                dataflow: "-",
             }
         }
+        fn simulate_layer(&self, ctx: &LayerContext<'_>) -> crate::report::LayerStats {
+            let layer = &ctx.workload.layer.name;
+            assert!(
+                !self.0.contains(&layer.as_str()),
+                "injected fault on {layer}"
+            );
+            crate::report::LayerStats::default()
+        }
+    }
+
+    #[test]
+    fn suite_surfaces_worker_panics_as_typed_errors() {
         let runner = Runner::new(4);
         // LeNet-5 has a layer `C3` and ConvNet a layer `conv3`; the tiny
         // model has neither. ConvNet is the larger, so its task runs

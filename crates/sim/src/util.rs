@@ -154,13 +154,14 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
     }
 }
 
-/// Worker-pool size for batched simulation and for
-/// [`Runner::run_suite`](crate::Runner::run_suite): the validated
+/// Size of the one simulation worker pool, which
+/// [`Runner::run_suite`](crate::Runner::run_suite) and
+/// [`BatchRunner`](crate::BatchRunner) share: the validated
 /// `CSCNN_NUM_THREADS` environment variable when set (the same knob that
 /// sizes the tensor-kernel thread pool in `cscnn-tensor`, so one setting
 /// covers both halves of the system), else the machine's available
-/// parallelism, else 4. Worker counts never affect results — both pools
-/// are bit-identical to sequential simulation by construction.
+/// parallelism, else 4. Worker counts never affect results — the pool is
+/// bit-identical to sequential simulation by construction.
 ///
 /// # Panics
 ///

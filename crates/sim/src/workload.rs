@@ -31,10 +31,21 @@ pub struct LayerWorkload {
     /// Non-zero stored weights per `(k, c_local)` slice, row-major
     /// `k * c_per_group + c_local`. Empty for FC layers (see
     /// [`LayerWorkload::fc_weight_nnz`]).
-    weight_nnz: Vec<u32>,
+    weight_nnz: SliceNnz,
     /// For FC layers: non-zero weights per output neuron `k`.
     fc_nnz: Vec<u32>,
     seed: u64,
+}
+
+/// Per-slice non-zero counts, one byte per slice whenever a slice's stored
+/// positions fit in a byte (every kernel up to 15×15). The largest layers
+/// have millions of slices, so the width sets the memory a live workload
+/// holds — with one workload alive per simulation worker, the process's
+/// peak.
+#[derive(Clone, Debug)]
+enum SliceNnz {
+    Byte(Vec<u8>),
+    Word(Vec<u32>),
 }
 
 impl LayerWorkload {
@@ -63,13 +74,17 @@ impl LayerWorkload {
             let fc: Vec<u32> = (0..layer.k)
                 .map(|_| binomial(&mut rng, layer.c, weight_density))
                 .collect();
-            (Vec::new(), fc)
+            (SliceNnz::Byte(Vec::new()), fc)
         } else {
             let c_local = layer.c / layer.groups;
             let slices = layer.k * c_local;
-            let w: Vec<u32> = (0..slices)
-                .map(|_| binomial(&mut rng, stored_per_slice, weight_density))
-                .collect();
+            let draws = (0..slices).map(|_| binomial(&mut rng, stored_per_slice, weight_density));
+            // A slice holds at most `stored_per_slice` non-zeros.
+            let w = if u8::try_from(stored_per_slice).is_ok() {
+                SliceNnz::Byte(draws.map(|n| u8::try_from(n).unwrap_or(u8::MAX)).collect())
+            } else {
+                SliceNnz::Word(draws.collect())
+            };
             (w, Vec::new())
         };
         LayerWorkload {
@@ -95,7 +110,9 @@ impl LayerWorkload {
     /// # Errors
     ///
     /// [`crate::SimError::MissingSparsity`] naming the layer when a
-    /// weight-bearing node has no annotation.
+    /// weight-bearing node has no annotation;
+    /// [`crate::SimError::SparsityOutOfRange`] naming the layer, field and
+    /// value when a density lies outside `[0, 1]` or is NaN.
     pub fn from_node(
         node: &cscnn_ir::LayerNode,
         centro: bool,
@@ -104,11 +121,22 @@ impl LayerWorkload {
         let Some(desc) = cscnn_models::lower::layer_desc(node) else {
             return Ok(None);
         };
+        let layer = || node.name().unwrap_or("<unnamed>").to_string();
         let Some(ann) = node.sparsity() else {
-            return Err(crate::SimError::MissingSparsity {
-                layer: node.name().unwrap_or("<unnamed>").to_string(),
-            });
+            return Err(crate::SimError::MissingSparsity { layer: layer() });
         };
+        for (field, value) in [
+            ("weight_density", ann.weight_density),
+            ("activation_density", ann.activation_density),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(crate::SimError::SparsityOutOfRange {
+                    layer: layer(),
+                    field,
+                    value,
+                });
+            }
+        }
         Ok(Some(Self::synthesize(
             &desc,
             ann.weight_density,
@@ -129,7 +157,11 @@ impl LayerWorkload {
     ///
     /// Panics for FC layers or out-of-range indices.
     pub fn weight_nnz(&self, k: usize, c_local: usize) -> u32 {
-        self.weight_nnz[k * self.c_per_group() + c_local]
+        let i = k * self.c_per_group() + c_local;
+        match &self.weight_nnz {
+            SliceNnz::Byte(nnz) => u32::from(nnz[i]),
+            SliceNnz::Word(nnz) => nnz[i],
+        }
     }
 
     /// Non-zero stored weights feeding output neuron `k` of an FC layer.
@@ -140,7 +172,10 @@ impl LayerWorkload {
     /// Total non-zero stored weights in this layer.
     pub fn total_weight_nnz(&self) -> u64 {
         if self.fc_nnz.is_empty() {
-            self.weight_nnz.iter().map(|&x| u64::from(x)).sum()
+            match &self.weight_nnz {
+                SliceNnz::Byte(nnz) => nnz.iter().map(|&x| u64::from(x)).sum(),
+                SliceNnz::Word(nnz) => nnz.iter().map(|&x| u64::from(x)).sum(),
+            }
         } else {
             self.fc_nnz.iter().map(|&x| u64::from(x)).sum()
         }
@@ -251,6 +286,11 @@ mod tests {
         let w = LayerWorkload::synthesize(&conv_layer(), 1.0, 0.5, false, 2);
         assert_eq!(w.weight_nnz(0, 0), 9);
         assert_eq!(w.total_weight_nnz(), (128 * 64 * 9) as u64);
+        // 16×16 = 256 positions per slice no longer fit a byte.
+        let wide = LayerDesc::conv("w", 3, 4, 16, 16, 32, 32, 1, 1);
+        let w = LayerWorkload::synthesize(&wide, 1.0, 0.5, false, 2);
+        assert_eq!(w.weight_nnz(3, 2), 256);
+        assert_eq!(w.total_weight_nnz(), (4 * 3 * 256) as u64);
     }
 
     #[test]
