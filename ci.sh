@@ -20,6 +20,9 @@ cargo run -q -p cscnn-lint -- --format json
 echo "== cargo build --release"
 cargo build --workspace --release
 
+echo "== benches compile (cargo test does not build them)"
+cargo build --release --benches -p cscnn-bench
+
 echo "== cargo test"
 cargo test --workspace -q
 
@@ -60,6 +63,13 @@ for seed in 42 7; do
     echo "-- seed $seed"
     cargo run -q --release --manifest-path perfbench/Cargo.toml --bin perfbench -- \
         --workload eval_suite --seed "$seed" --seconds 0 --trace 0
+done
+
+echo "== perfbench mobile_cnn training against the committed digests"
+for seed in 42 7; do
+    echo "-- seed $seed"
+    cargo run -q --release --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+        --workload train_mobile --seed "$seed" --seconds 0 --trace 0
 done
 
 echo "== cargo doc (warnings are errors)"

@@ -7,26 +7,11 @@
 //! Run with `cargo bench -p cscnn-bench --bench batch`.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use cscnn::ir::{ModelIr, SparsityAnnotation};
 use cscnn::models::{catalog, lower, ModelCompression, ModelDesc};
 use cscnn::sim::{Accelerator, BatchRunner, CartesianAccelerator, Runner};
-
-fn bench(name: &str, mut f: impl FnMut()) {
-    for _ in 0..3 {
-        f();
-    }
-    let target = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < target {
-        f();
-        iters += 1;
-    }
-    let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<36} {per_iter:>14.0} ns/iter  ({iters} iters)");
-}
+use cscnn_bench::timing::bench;
 
 fn calibrated_ir(model: &ModelDesc, acc: &dyn Accelerator) -> ModelIr {
     let mc = ModelCompression::new(model.clone(), acc.scheme());

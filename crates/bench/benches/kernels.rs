@@ -6,27 +6,12 @@
 //! Run with `cargo bench -p cscnn-bench --bench kernels`.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use cscnn::nn::codebook;
 use cscnn::sparse::formats::{BitmaskVector, CscVector};
 use cscnn::sparse::{centro, RleVector, SparseSlice};
 use cscnn::tensor::{conv2d, matmul, winograd_conv2d, ConvSpec, Tensor};
-
-fn bench(name: &str, mut f: impl FnMut()) {
-    for _ in 0..3 {
-        f();
-    }
-    let target = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < target {
-        f();
-        iters += 1;
-    }
-    let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<36} {per_iter:>14.0} ns/iter  ({iters} iters)");
-}
+use cscnn_bench::timing::bench;
 
 fn main() {
     let input = Tensor::from_fn(&[1, 16, 32, 32], |i| (i as f32 * 0.01).sin());

@@ -7,7 +7,6 @@
 //! Run with `cargo bench -p cscnn-bench --bench simulator`.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use cscnn::models::{catalog, LayerDesc};
 use cscnn::sim::dram::DramConfig;
@@ -15,21 +14,7 @@ use cscnn::sim::energy::EnergyTable;
 use cscnn::sim::tiling::{self, TilingStrategy};
 use cscnn::sim::workload::LayerWorkload;
 use cscnn::sim::{baselines, Accelerator, CartesianAccelerator, LayerContext, Runner};
-
-fn bench(name: &str, mut f: impl FnMut()) {
-    for _ in 0..3 {
-        f();
-    }
-    let target = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < target {
-        f();
-        iters += 1;
-    }
-    let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<36} {per_iter:>14.0} ns/iter  ({iters} iters)");
-}
+use cscnn_bench::timing::bench;
 
 fn vgg_conv_layer() -> LayerDesc {
     LayerDesc::conv("conv3_2", 256, 256, 3, 3, 56, 56, 1, 1)

@@ -7,7 +7,6 @@
 //! Run with `cargo bench -p cscnn-bench --bench training`.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use cscnn::nn::centrosymmetric;
 use cscnn::nn::datasets::SyntheticImages;
@@ -15,39 +14,7 @@ use cscnn::nn::metrics::softmax_cross_entropy;
 use cscnn::nn::models;
 use cscnn::nn::optimizer::Sgd;
 use cscnn::nn::pruning;
-
-fn bench(name: &str, mut f: impl FnMut()) {
-    for _ in 0..3 {
-        f();
-    }
-    let target = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < target {
-        f();
-        iters += 1;
-    }
-    let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<36} {per_iter:>14.0} ns/iter  ({iters} iters)");
-}
-
-/// Variant for benchmarks that consume their input: rebuilds the state
-/// outside the timed region each iteration.
-fn bench_with_setup<T>(name: &str, mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) {
-    f(setup());
-    let target = Duration::from_millis(200);
-    let mut spent = Duration::ZERO;
-    let mut iters = 0u64;
-    while spent < target {
-        let input = setup();
-        let start = Instant::now();
-        f(input);
-        spent += start.elapsed();
-        iters += 1;
-    }
-    let per_iter = spent.as_nanos() as f64 / iters as f64;
-    println!("{name:<36} {per_iter:>14.0} ns/iter  ({iters} iters)");
-}
+use cscnn_bench::timing::{bench, bench_with_setup};
 
 fn main() {
     let data = SyntheticImages::generate(1, 16, 16, 4, 20, 0.1, 3);

@@ -1,19 +1,21 @@
 //! Kernel timing sweep: naive reference vs blocked/threaded kernels.
 //!
 //! Times `matmul`/`conv2d`/`conv2d_grouped` at paper-relevant layer shapes
-//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise) plus a
-//! full `mobile_cnn` training step, each in three configurations:
+//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise), and
+//! forward + backward over one kept [`ConvLowering`] at two of them, each
+//! in three configurations:
 //!
-//! * `naive` — the frozen reference kernels, selected through
-//!   [`cscnn::tensor::kernels::set_reference_mode`] (the seed
-//!   implementation this PR replaces);
+//! * `naive` — the frozen seed kernels of [`cscnn::tensor::reference`],
+//!   called directly;
 //! * `blocked_1t` — the cache-blocked, register-tiled kernels pinned to a
 //!   single thread;
 //! * `blocked_mt` — the same kernels at the default thread count.
 //!
 //! All three configurations compute bit-identical results; only wall-clock
-//! time differs. Plain timing (warm-up + wall-clock budget), no external
-//! benchmark harness — consistent with `benches/*.rs`.
+//! time differs. A whole `mobile_cnn` training step is timed by perfbench's
+//! `train_mobile` workload instead. Plain timing (warm-up + wall-clock
+//! budget, [`cscnn_bench::timing::time_ms`]), no external benchmark
+//! harness — consistent with `benches/*.rs`.
 //!
 //! Output: a human-readable table on stdout and a machine-readable
 //! `BENCH_kernels.json` (schema `cscnn-bench-kernels-v1`). `--smoke` runs
@@ -23,21 +25,17 @@
 //! numbers.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cscnn::json::{from_str, to_string_pretty, Value};
-use cscnn::nn::datasets::SyntheticImages;
-use cscnn::nn::metrics::softmax_cross_entropy;
-use cscnn::nn::models;
-use cscnn::nn::optimizer::Sgd;
-use cscnn::tensor::kernels::set_reference_mode;
 use cscnn::tensor::{
-    conv2d_grouped, matmul, matmul_at, matmul_bt, num_threads, reset_num_threads, set_num_threads,
-    ConvScratch, ConvSpec, Tensor,
+    conv2d_grouped, matmul, matmul_at, matmul_bt, num_threads, reference, reset_num_threads,
+    set_num_threads, ConvLowering, ConvSpec, Tensor,
 };
+use cscnn_bench::timing::time_ms;
 
-/// One measured workload: the same closure timed under all three kernel
-/// configurations.
+/// One measured workload: the same computation timed under all three
+/// kernel configurations.
 struct Sample {
     name: String,
     kind: &'static str,
@@ -57,38 +55,22 @@ impl Sample {
     }
 }
 
-/// Mean wall-clock milliseconds per call: one warm-up call, then repeats
-/// until `budget` elapses (always at least one timed call).
-fn time_ms(budget: Duration, f: &mut dyn FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        f();
-        iters += 1;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters)
-}
-
-/// Times `f` under naive / blocked-1-thread / blocked-multithread kernels.
+/// Times `naive` on one thread, then `blocked` on one and on `mt_threads`
+/// threads.
 fn measure(
     name: &str,
     kind: &'static str,
     shape: String,
     budget: Duration,
     mt_threads: usize,
-    f: &mut dyn FnMut(),
+    naive: &mut dyn FnMut(),
+    blocked: &mut dyn FnMut(),
 ) -> Sample {
-    set_reference_mode(true);
     set_num_threads(1);
-    let naive_ms = time_ms(budget, f);
-    set_reference_mode(false);
-    let blocked_1t_ms = time_ms(budget, f);
+    let naive_ms = time_ms(budget, naive);
+    let blocked_1t_ms = time_ms(budget, blocked);
     set_num_threads(mt_threads);
-    let blocked_mt_ms = time_ms(budget, f);
+    let blocked_mt_ms = time_ms(budget, blocked);
     reset_num_threads();
     let sample = Sample {
         name: name.to_string(),
@@ -130,7 +112,7 @@ struct ConvShape {
     padding: usize,
     stride: usize,
     groups: usize,
-    /// Also time forward + backward through a shared [`ConvScratch`].
+    /// Also time forward + backward over one kept [`ConvLowering`].
     train: bool,
 }
 
@@ -171,6 +153,9 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             budget,
             mt,
             &mut || {
+                black_box(reference::matmul(black_box(&a), black_box(&b)));
+            },
+            &mut || {
                 black_box(matmul(black_box(&a), black_box(&b)));
             },
         ));
@@ -181,6 +166,9 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             budget,
             mt,
             &mut || {
+                black_box(reference::matmul_at(black_box(&at), black_box(&b)));
+            },
+            &mut || {
                 black_box(matmul_at(black_box(&at), black_box(&b)));
             },
         ));
@@ -190,6 +178,9 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             shape,
             budget,
             mt,
+            &mut || {
+                black_box(reference::matmul_bt(black_box(&a), black_box(&bt)));
+            },
             &mut || {
                 black_box(matmul_bt(black_box(&a), black_box(&bt)));
             },
@@ -291,6 +282,15 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
             budget,
             mt,
             &mut || {
+                black_box(reference::conv2d_grouped(
+                    black_box(&input),
+                    black_box(&weight),
+                    &bias,
+                    &spec,
+                    s.groups,
+                ));
+            },
+            &mut || {
                 black_box(conv2d_grouped(
                     black_box(&input),
                     black_box(&weight),
@@ -303,7 +303,9 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
         if s.train {
             let (oh, ow) = spec.output_dim(s.input[2], s.input[3]);
             let grad_out = filled(&[s.input[0], s.filters, oh, ow], 3e-3);
-            let mut scratch = ConvScratch::new();
+            // As a `Conv2d` layer does each step: re-lower into the kept
+            // buffer, then run forward and backward on that one lowering.
+            let mut lowering = ConvLowering::lower(&input, &spec, s.groups);
             out.push(measure(
                 &format!("{}_train", s.name),
                 "conv_fwd_bwd",
@@ -311,39 +313,21 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
                 budget,
                 mt,
                 &mut || {
-                    black_box(scratch.forward(&input, &weight, &bias, &spec, s.groups));
-                    black_box(scratch.backward(&input, &weight, &grad_out, &spec, s.groups));
+                    black_box(reference::conv2d_grouped(
+                        &input, &weight, &bias, &spec, s.groups,
+                    ));
+                    black_box(reference::conv2d_grouped_backward(
+                        &input, &weight, &grad_out, &spec, s.groups,
+                    ));
+                },
+                &mut || {
+                    lowering.lower_into(black_box(&input), &spec, s.groups);
+                    black_box(lowering.forward(&weight, &bias));
+                    black_box(lowering.backward(&weight, &grad_out));
                 },
             ));
         }
     }
-}
-
-fn train_step_entry(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
-    let (channels, h, w, classes, batch) = if smoke {
-        (1, 8, 8, 2, 4)
-    } else {
-        (3, 32, 32, 5, 8)
-    };
-    let data = SyntheticImages::generate(channels, h, w, classes, batch, 0.12, cscnn_bench::SEED);
-    let indices: Vec<usize> = (0..batch).collect();
-    let (x, labels) = data.batch(&indices);
-    let mut net = models::mobile_cnn(channels, h, w, classes, cscnn_bench::SEED);
-    let mut opt = Sgd::new(0.9, 1e-4);
-    out.push(measure(
-        "mobile_cnn_train_step",
-        "train_step",
-        format!("mobile_cnn batch [{batch},{channels},{h},{w}]"),
-        budget,
-        mt,
-        &mut || {
-            let logits = net.forward(black_box(&x));
-            let (_, grad) = softmax_cross_entropy(&logits, &labels);
-            net.backward(&grad);
-            let mut params = net.params_mut();
-            opt.step(&mut params, 1e-3);
-        },
-    ));
 }
 
 fn report(samples: &[Sample], smoke: bool, mt: usize) -> Value {
@@ -407,9 +391,7 @@ fn main() {
     let mut samples = Vec::new();
     matmul_entries(smoke, budget, mt, &mut samples);
     conv_entries(smoke, budget, mt, &mut samples);
-    train_step_entry(smoke, budget, mt, &mut samples);
     reset_num_threads();
-    set_reference_mode(false);
 
     let json = report(&samples, smoke, mt);
     let text = to_string_pretty(&json).expect("report serializes");

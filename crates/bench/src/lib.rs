@@ -4,8 +4,9 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §4 for the index); this library holds the plumbing
-//! they share: paper-reported reference numbers, table formatting, and the
-//! standard evaluation run.
+//! they share: paper-reported reference numbers, table formatting, the
+//! standard evaluation run, and the wall-clock timing helpers of the
+//! benches.
 //!
 //! The harnesses sit at the *top* of the workspace's lowering chain,
 //! driving it end to end: catalog `ModelDesc` → `ModelIr` →
@@ -14,6 +15,7 @@
 
 pub mod paper;
 pub mod table;
+pub mod timing;
 
 use cscnn::models::{catalog, ModelDesc};
 use cscnn::sim::{baselines, Accelerator, RunStats, Runner, SimError};

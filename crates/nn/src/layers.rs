@@ -10,7 +10,7 @@ use cscnn_ir::{ActivationKind, DescribeError, LayerNode, PoolKind};
 use cscnn_rng::Rng;
 use cscnn_sparse::centro;
 use cscnn_tensor::{
-    kaiming_uniform, matmul, matmul_at, matmul_bt, max_pool2d, max_pool2d_backward, ConvScratch,
+    kaiming_uniform, matmul, matmul_at, matmul_bt, max_pool2d, max_pool2d_backward, ConvLowering,
     ConvSpec, PoolSpec, Tensor,
 };
 
@@ -132,10 +132,12 @@ pub struct Conv2d {
     weight: Param,
     bias: Param,
     centrosymmetric: bool,
-    cached_input: Option<Tensor>,
-    /// Reusable im2col arena: the backward pass reuses the forward pass's
-    /// lowering, and repeated steps at a fixed geometry stop allocating.
-    scratch: ConvScratch,
+    /// im2col lowering of the last forward input. The backward pass runs
+    /// on it, and every forward re-lowers into its buffer, so repeated
+    /// steps at a fixed geometry stop allocating.
+    lowering: Option<ConvLowering>,
+    /// Whether `lowering` holds a forward input no backward has used yet.
+    lowered: bool,
 }
 
 impl Conv2d {
@@ -186,8 +188,8 @@ impl Conv2d {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_channels])),
             centrosymmetric: false,
-            cached_input: None,
-            scratch: ConvScratch::new(),
+            lowering: None,
+            lowered: false,
         }
     }
 
@@ -247,30 +249,29 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        self.scratch.forward(
-            input,
-            &self.weight.value,
-            &self.bias.value,
-            &self.spec,
-            self.groups,
-        )
+        let lowering = match self.lowering.take() {
+            Some(mut lowering) => {
+                lowering.lower_into(input, &self.spec, self.groups);
+                lowering
+            }
+            None => ConvLowering::lower(input, &self.spec, self.groups),
+        };
+        let out = lowering.forward(&self.weight.value, &self.bias.value);
+        self.lowering = Some(lowering);
+        self.lowered = true;
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called before forward");
-        // The scratch recognizes the input cached at forward time and
-        // reuses that lowering — one im2col per training step, not two.
-        let grads = self.scratch.backward(
-            &input,
-            &self.weight.value,
-            grad_out,
-            &self.spec,
-            self.groups,
-        );
+        // One im2col per training step: the forward's lowering serves the
+        // backward too, and only once.
+        let lowered = std::mem::take(&mut self.lowered);
+        let grads = self
+            .lowering
+            .as_ref()
+            .filter(|_| lowered)
+            .expect("backward called before forward")
+            .backward(&self.weight.value, grad_out);
         self.weight.grad = grads.weight;
         self.bias.grad = grads.bias;
         if self.centrosymmetric {
@@ -800,6 +801,53 @@ mod tests {
         let g = f.backward(&y);
         assert_eq!(g.shape().dims(), &[2, 3, 4, 4]);
         assert_eq!(g.as_slice(), x.as_slice());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn grouped_conv() -> Conv2d {
+        let mut rng = StdRng::seed_from_u64(3);
+        Conv2d::grouped(&mut rng, 4, 6, ConvSpec::new(3, 3).with_padding(1), 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn conv_backward_before_forward_panics() {
+        let mut conv = grouped_conv();
+        let _ = conv.backward(&Tensor::zeros(&[1, 6, 5, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn conv_second_backward_after_one_forward_panics() {
+        let mut conv = grouped_conv();
+        let y = conv.forward(&Tensor::from_fn(&[1, 4, 5, 5], |i| (i as f32).sin()));
+        let go = Tensor::full(y.shape().dims(), 1.0);
+        let _ = conv.backward(&go);
+        let _ = conv.backward(&go);
+    }
+
+    #[test]
+    fn conv_backward_uses_the_latest_forward_input() {
+        let mut conv = grouped_conv();
+        let a = Tensor::from_fn(&[2, 4, 5, 5], |i| (i as f32 * 0.13).sin());
+        let b = Tensor::from_fn(&[2, 4, 5, 5], |i| (i as f32 * 0.29).cos());
+        let _ = conv.forward(&a);
+        let y = conv.forward(&b);
+        let go = Tensor::from_fn(y.shape().dims(), |i| (i as f32 * 0.07).sin());
+        let grad_in = conv.backward(&go);
+        let want = cscnn_tensor::conv2d_grouped_backward(
+            &b,
+            &conv.weight().value,
+            &go,
+            conv.spec(),
+            conv.groups(),
+        );
+        assert_eq!(bits(&grad_in), bits(&want.input));
+        assert_eq!(bits(&conv.weight().grad), bits(&want.weight));
+        assert_eq!(bits(&conv.params()[1].grad), bits(&want.bias));
     }
 
     #[test]

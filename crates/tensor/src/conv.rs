@@ -9,10 +9,12 @@
 //! lowered **once** into a block-contiguous im2col buffer holding one
 //! `[C/g·R·S, H'·W']` column block per `(batch item, group)` task, and
 //! both the forward GEMMs and all three backward GEMMs read from that
-//! single buffer. [`ConvScratch`] keeps the lowering (and its allocation)
-//! alive across calls so a forward/backward pair — or repeated training
-//! steps at a fixed geometry — lowers each input exactly once and never
-//! reallocates. The GEMMs themselves are the cache-blocked multithreaded
+//! single buffer. Whoever owns the lowering decides how long it lives: the
+//! free functions lower per call, while a `Conv2d` layer of `cscnn-nn`
+//! keeps one, re-lowers each forward input into its buffer with
+//! [`ConvLowering::lower_into`] and runs its backward on it, so a training
+//! step lowers each input exactly once and never reallocates at a fixed
+//! geometry. The GEMMs themselves are the cache-blocked multithreaded
 //! kernels in [`crate::kernels`]; when a batch offers enough
 //! `(item × group)` tasks the work is parallelized across tasks instead
 //! (whole output chunks per thread), which keeps every output element
@@ -23,7 +25,7 @@
 //! count; see `docs/kernels.md` for why the accumulation orders match.
 
 use crate::kernels::{self, Lhs, Rhs};
-use crate::{reference, threads, Tensor};
+use crate::{threads, Tensor};
 
 /// Static description of a convolution: filter geometry, stride and padding.
 ///
@@ -122,15 +124,15 @@ pub struct Conv2dGrads {
 /// GEMMs are internally parallel instead.
 const PART_BUDGET_FLOATS: usize = 1 << 26;
 
-/// One input tensor lowered to im2col form — the shared artifact of
-/// satellite concern "don't lower the same input twice".
+/// One input tensor lowered to im2col form, so that no input is lowered
+/// twice.
 ///
 /// The buffer holds `N·groups` contiguous blocks in `(item, group)`-major
 /// order; block `(ni, g)` is the `[C/g·R·S, H'·W']` column matrix of batch
 /// item `ni` restricted to input-channel group `g`. [`ConvLowering::forward`]
 /// and [`ConvLowering::backward`] both consume it, so callers that keep the
-/// lowering around (directly, or via [`ConvScratch`]) pay the im2col cost
-/// once per input instead of once per direction.
+/// lowering around pay the im2col cost once per input instead of once per
+/// direction.
 ///
 /// # Example
 ///
@@ -231,7 +233,10 @@ impl ConvLowering {
     fn weight_geometry(&self, weight: &Tensor, what: &str) -> (usize, usize, usize, usize) {
         let (k, wc, wr, ws) = dims4(weight, what);
         let cg = self.c / self.groups;
-        assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
+        assert_eq!(
+            wc, cg,
+            "channel mismatch: weight C={wc} must be C/groups={cg}"
+        );
         assert_eq!(
             (wr, ws),
             (self.spec.kernel_h, self.spec.kernel_w),
@@ -513,118 +518,11 @@ fn col2im_block(
     }
 }
 
-/// A reusable convolution arena: keeps the most recent [`ConvLowering`]
-/// (and its buffer) alive across calls.
-///
-/// A forward/backward pair over the same input lowers it exactly once —
-/// the backward call recognizes the input by a content fingerprint and
-/// reuses the forward's lowering; any other input (or geometry) re-lowers
-/// into the existing allocation. `Conv2d` layers own one of these, so a
-/// training step does one im2col per layer instead of two, and steady-state
-/// training stops allocating column buffers entirely.
-#[derive(Debug, Clone, Default)]
-pub struct ConvScratch {
-    lowering: Option<ConvLowering>,
-    key: Option<u64>,
-}
-
-impl ConvScratch {
-    /// Creates an empty scratch (no buffer held yet).
-    pub fn new() -> Self {
-        ConvScratch::default()
-    }
-
-    /// Ensures `self.lowering` covers `input` with `spec`/`groups`,
-    /// lowering (into the reused buffer) only when the fingerprint or
-    /// geometry changed.
-    fn ensure(&mut self, input: &Tensor, spec: &ConvSpec, groups: usize) -> &ConvLowering {
-        let key = fingerprint(input, spec, groups);
-        if self.key != Some(key) || self.lowering.is_none() {
-            if let Some(lowering) = self.lowering.as_mut() {
-                lowering.lower_into(input, spec, groups);
-            } else {
-                self.lowering = Some(ConvLowering::lower(input, spec, groups));
-            }
-            self.key = Some(key);
-        }
-        // Populated just above; the fallback lower never runs.
-        self.lowering
-            .get_or_insert_with(|| ConvLowering::lower(input, spec, groups))
-    }
-
-    /// Grouped forward convolution through the scratch (use `groups = 1`
-    /// for dense). Results are identical to [`conv2d_grouped`].
-    ///
-    /// # Panics
-    ///
-    /// As [`conv2d_grouped`].
-    pub fn forward(
-        &mut self,
-        input: &Tensor,
-        weight: &Tensor,
-        bias: &Tensor,
-        spec: &ConvSpec,
-        groups: usize,
-    ) -> Tensor {
-        if kernels::reference_mode() {
-            return reference::conv2d_grouped(input, weight, bias, spec, groups);
-        }
-        self.ensure(input, spec, groups).forward(weight, bias)
-    }
-
-    /// Grouped backward convolution through the scratch; when the same
-    /// input was just lowered by [`ConvScratch::forward`] the lowering is
-    /// reused. Results are identical to [`conv2d_grouped_backward`].
-    ///
-    /// # Panics
-    ///
-    /// As [`conv2d_grouped_backward`].
-    pub fn backward(
-        &mut self,
-        input: &Tensor,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        spec: &ConvSpec,
-        groups: usize,
-    ) -> Conv2dGrads {
-        if kernels::reference_mode() {
-            return reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
-        }
-        self.ensure(input, spec, groups).backward(weight, grad_out)
-    }
-}
-
-/// FNV-1a over the input's contents and the convolution geometry — the
-/// [`ConvScratch`] reuse key. Content-based (not address-based) so reuse
-/// is sound: equal fingerprints mean the existing lowering is valid for
-/// this exact input.
-fn fingerprint(input: &Tensor, spec: &ConvSpec, groups: usize) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        h = (h ^ v).wrapping_mul(PRIME);
-    };
-    for &d in input.shape().dims() {
-        eat(d as u64);
-    }
-    eat(spec.kernel_h as u64);
-    eat(spec.kernel_w as u64);
-    eat(spec.stride as u64);
-    eat(spec.padding as u64);
-    eat(groups as u64);
-    for &v in input.as_slice() {
-        eat(u64::from(v.to_bits()));
-    }
-    h
-}
-
 /// Forward 2-D convolution.
 ///
 /// `input` is `[N, C, H, W]`, `weight` is `[K, C, R, S]`, `bias` is `[K]`;
-/// returns `[N, K, H', W']`. Lowers the input once and runs the blocked
-/// kernels; to share the lowering with the backward pass use
-/// [`ConvLowering`] or [`ConvScratch`] instead of this free function.
+/// returns `[N, K, H', W']`. Lowers the input for this one call; keep a
+/// [`ConvLowering`] instead to share the lowering with the backward pass.
 ///
 /// # Panics
 ///
@@ -642,18 +540,6 @@ fn fingerprint(input: &Tensor, spec: &ConvSpec, groups: usize) -> u64 {
 /// assert_eq!(out.as_slice(), &[9.0]);
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
-    let (_, c, _, _) = dims4(input, "conv2d input");
-    let (k, wc, wr, ws) = dims4(weight, "conv2d weight");
-    assert_eq!(c, wc, "channel mismatch: input C={c}, weight C={wc}");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    assert_eq!(bias.len(), k, "bias length must equal K={k}");
-    if kernels::reference_mode() {
-        return reference::conv2d(input, weight, bias, spec);
-    }
     ConvLowering::lower(input, spec, 1).forward(weight, bias)
 }
 
@@ -661,8 +547,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
 ///
 /// `grad_out` must be `[N, K, H', W']` for the same `input`/`weight`/`spec`
 /// that produced the forward output. This free function lowers the input
-/// itself; pair it with [`ConvLowering`]/[`ConvScratch`] to reuse the
-/// forward pass's lowering instead.
+/// itself; run [`ConvLowering::backward`] on the forward pass's lowering to
+/// reuse it instead.
 ///
 /// # Panics
 ///
@@ -673,9 +559,6 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: &ConvSpec,
 ) -> Conv2dGrads {
-    if kernels::reference_mode() {
-        return reference::conv2d_backward(input, weight, grad_out, spec);
-    }
     ConvLowering::lower(input, spec, 1).backward(weight, grad_out)
 }
 
@@ -698,27 +581,6 @@ pub fn conv2d_grouped(
     spec: &ConvSpec,
     groups: usize,
 ) -> Tensor {
-    assert!(groups > 0, "groups must be positive");
-    if groups == 1 {
-        return conv2d(input, weight, bias, spec);
-    }
-    let (_, c, _, _) = dims4(input, "conv2d_grouped input");
-    let (k, wc, wr, ws) = dims4(weight, "conv2d_grouped weight");
-    assert!(
-        c % groups == 0 && k % groups == 0,
-        "groups={groups} must divide C={c} and K={k}"
-    );
-    let cg = c / groups;
-    assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    assert_eq!(bias.len(), k, "bias length must equal K={k}");
-    if kernels::reference_mode() {
-        return reference::conv2d_grouped(input, weight, bias, spec, groups);
-    }
     ConvLowering::lower(input, spec, groups).forward(weight, bias)
 }
 
@@ -735,21 +597,6 @@ pub fn conv2d_grouped_backward(
     spec: &ConvSpec,
     groups: usize,
 ) -> Conv2dGrads {
-    assert!(groups > 0, "groups must be positive");
-    if groups == 1 {
-        return conv2d_backward(input, weight, grad_out, spec);
-    }
-    let (_, c, _, _) = dims4(input, "conv2d_grouped_backward input");
-    let (k, wc, _, _) = dims4(weight, "conv2d_grouped_backward weight");
-    assert!(
-        c % groups == 0 && k % groups == 0,
-        "groups={groups} must divide C={c} and K={k}"
-    );
-    let cg = c / groups;
-    assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
-    if kernels::reference_mode() {
-        return reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
-    }
     ConvLowering::lower(input, spec, groups).backward(weight, grad_out)
 }
 
@@ -867,30 +714,6 @@ mod tests {
             assert_eq!(bits(&fast.weight), bits(&slow.weight));
             assert_eq!(bits(&fast.bias), bits(&slow.bias));
         }
-    }
-
-    #[test]
-    fn scratch_reuses_forward_lowering_in_backward() {
-        let spec = ConvSpec::new(3, 3).with_padding(1);
-        let input = seq(&[2, 4, 6, 6], 0.23);
-        let weight = seq(&[6, 4, 3, 3], 0.41);
-        let bias = seq(&[6], 0.3);
-        let mut scratch = ConvScratch::new();
-        let out = scratch.forward(&input, &weight, &bias, &spec, 1);
-        let key_after_forward = scratch.key;
-        let go = Tensor::full(out.shape().dims(), 1.0);
-        let grads = scratch.backward(&input, &weight, &go, &spec, 1);
-        assert_eq!(scratch.key, key_after_forward, "backward reused the key");
-        let plain = conv2d_backward(&input, &weight, &go, &spec);
-        assert_eq!(bits(&grads.input), bits(&plain.input));
-        assert_eq!(bits(&grads.weight), bits(&plain.weight));
-        assert_eq!(bits(&grads.bias), bits(&plain.bias));
-
-        // A different input re-lowers (fingerprint is content-based).
-        let other = seq(&[2, 4, 6, 6], 0.77);
-        let out2 = scratch.forward(&other, &weight, &bias, &spec, 1);
-        assert_ne!(scratch.key, key_after_forward);
-        assert_eq!(bits(&out2), bits(&conv2d(&other, &weight, &bias, &spec)));
     }
 
     #[test]

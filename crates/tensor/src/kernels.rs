@@ -24,7 +24,6 @@
 //! scheduling only, never results. See `docs/kernels.md`.
 
 use crate::threads;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Microkernel tile height (rows of `C` held in registers).
 pub const MR: usize = 4;
@@ -44,23 +43,6 @@ const PARALLEL_MAC_FLOOR: usize = 1 << 18;
 /// fit in cache and pack-buffer allocation would dominate. Same
 /// accumulation order, so bit-identical either way.
 const SMALL_GEMM_MACS: usize = 1 << 15;
-
-/// When set, the public kernel entry points dispatch to the naive
-/// [`crate::reference`] implementations. Benchmark/debug hook.
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Routes `matmul*`/`conv2d*` through the naive [`crate::reference`]
-/// kernels (`true`) or the blocked multithreaded kernels (`false`, the
-/// default). Intended for benchmarking the two stacks against each other
-/// and for bisecting kernel regressions; not a tuning knob.
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`set_reference_mode`] routed the kernels to the naive oracle.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.load(Ordering::SeqCst)
-}
 
 /// Storage layout of the left GEMM operand.
 #[derive(Clone, Copy, Debug)]
@@ -548,14 +530,5 @@ mod tests {
         for (i, ch) in data.chunks(4).enumerate() {
             assert!(ch.iter().all(|&v| v == (i + 1) as f32));
         }
-    }
-
-    #[test]
-    fn reference_mode_toggle_round_trips() {
-        assert!(!reference_mode());
-        set_reference_mode(true);
-        assert!(reference_mode());
-        set_reference_mode(false);
-        assert!(!reference_mode());
     }
 }

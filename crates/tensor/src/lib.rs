@@ -12,7 +12,7 @@
 //! with results **bit-identical** to the frozen naive kernels in
 //! [`mod@reference`] at any thread count — see `docs/kernels.md`. Convolutions
 //! share one im2col lowering between forward and backward through
-//! [`ConvLowering`]/[`ConvScratch`].
+//! [`ConvLowering`], which its owner keeps across calls.
 //!
 //! The library is deliberately *not* an autograd engine: each NN layer in
 //! [`cscnn-nn`](../cscnn_nn/index.html) implements its own backward pass on
@@ -49,7 +49,7 @@ mod winograd;
 
 pub use conv::{
     conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, Conv2dGrads, ConvLowering,
-    ConvScratch, ConvSpec,
+    ConvSpec,
 };
 pub use init::{kaiming_uniform, uniform, xavier_uniform};
 pub use matmul::{matmul, matmul_at, matmul_bt};

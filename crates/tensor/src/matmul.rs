@@ -32,9 +32,6 @@ use crate::Tensor;
 /// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    if kernels::reference_mode() {
-        return crate::reference::matmul(a, b);
-    }
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
@@ -60,9 +57,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics on rank or dimension mismatch.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-    if kernels::reference_mode() {
-        return crate::reference::matmul_at(a, b);
-    }
     let (k, m) = dims2(a, "matmul_at lhs");
     let (k2, n) = dims2(b, "matmul_at rhs");
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
@@ -88,9 +82,6 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics on rank or dimension mismatch.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    if kernels::reference_mode() {
-        return crate::reference::matmul_bt(a, b);
-    }
     let (m, k) = dims2(a, "matmul_bt lhs");
     let (n, k2) = dims2(b, "matmul_bt rhs");
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");

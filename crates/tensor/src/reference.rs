@@ -8,9 +8,8 @@
 //! stacks with `f32::to_bits` equality across random shapes, strides,
 //! paddings, groups and thread counts.
 //!
-//! They are also reachable at runtime via
-//! [`crate::kernels::set_reference_mode`], which benches use to time the
-//! seed implementation against the blocked one inside a single binary.
+//! The kernel benchmark (`cscnn-bench`'s `kernels` binary) calls them
+//! directly to time the seed implementation against the blocked one.
 //!
 //! # Zero-skip contract
 //!
@@ -232,7 +231,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
 }
 
 /// Naive backward 2-D convolution. Re-lowers each batch item with im2col
-/// (the redundancy [`crate::ConvScratch`] exists to remove) and reduces
+/// (the redundancy a kept [`crate::ConvLowering`] removes) and reduces
 /// `dW` per item in ascending batch order via `axpy`.
 ///
 /// # Panics

@@ -1,5 +1,5 @@
 //! Property suite for the blocked/threaded kernels' determinism contract:
-//! `matmul*`/`conv2d*`/`ConvScratch` results must be **bit-identical** to
+//! `matmul*`/`conv2d*`/`Conv2d` layer results must be **bit-identical** to
 //! the frozen naive oracles in `cscnn::tensor::reference` at every thread
 //! count, over randomized shapes, strides, paddings, groups and sparsity.
 //!
@@ -10,9 +10,10 @@
 //! property: because every thread count computes identical bits, the races
 //! cannot change any expected value.
 
+use cscnn::nn::{Conv2d, Layer};
 use cscnn::tensor::{
     conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, matmul, matmul_at, matmul_bt,
-    reference, reset_num_threads, set_num_threads, ConvScratch, ConvSpec, Tensor,
+    reference, reset_num_threads, set_num_threads, ConvSpec, Tensor,
 };
 use cscnn_rng::rngs::StdRng;
 use cscnn_rng::{Rng, SeedableRng};
@@ -246,10 +247,12 @@ fn conv_scratch_reuse_bit_matches_free_functions() {
             0.3,
         );
         let bias = random_tensor(&mut rng, &[k], 0.0);
-        let mut scratch = ConvScratch::new();
-        // Two training-style steps on different inputs: forward then
-        // backward reuse one lowering per input; the second input must
-        // invalidate the first's lowering, not reuse it.
+        let mut layer = Conv2d::grouped(&mut rng, c, k, spec, groups);
+        layer.weight_mut().value = weight.clone();
+        layer.params_mut()[1].value = bias.clone();
+        // Two training-style steps on different inputs: the layer's
+        // backward runs on its forward's lowering; the second input must
+        // replace the first's lowering, not reuse it.
         for step in 0..2u64 {
             let mut rng_step = StdRng::seed_from_u64(seed ^ (case << 8) ^ step);
             let input = random_tensor(&mut rng_step, &[2, c, h, w], 0.3);
@@ -259,16 +262,17 @@ fn conv_scratch_reuse_bit_matches_free_functions() {
             let want_grads = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
             for t in THREAD_COUNTS {
                 set_num_threads(t);
-                let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+                let out = layer.forward(&input);
+                assert_eq!(bits(&out), want, "layer forward, step {step}, {t} threads");
+                let got_input = layer.backward(&grad_out);
+                assert_eq!(bits(&got_input), bits(&want_grads.input), "step {step}");
+                let params = layer.params();
                 assert_eq!(
-                    bits(&out),
-                    want,
-                    "scratch forward, step {step}, {t} threads"
+                    bits(&params[0].grad),
+                    bits(&want_grads.weight),
+                    "step {step}"
                 );
-                let got = scratch.backward(&input, &weight, &grad_out, &spec, groups);
-                assert_eq!(bits(&got.input), bits(&want_grads.input), "step {step}");
-                assert_eq!(bits(&got.weight), bits(&want_grads.weight), "step {step}");
-                assert_eq!(bits(&got.bias), bits(&want_grads.bias), "step {step}");
+                assert_eq!(bits(&params[1].grad), bits(&want_grads.bias), "step {step}");
             }
         }
     }
