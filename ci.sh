@@ -50,6 +50,7 @@ for threads in 1 4; do
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim --lib batch
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_sim
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_batch
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test golden_eval
 done
 
 echo "== kernels bench smoke run (schema check)"

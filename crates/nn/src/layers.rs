@@ -356,7 +356,13 @@ impl Layer for Conv2d {
 pub struct Linear {
     weight: Param,
     bias: Param,
+    /// Copy of the last forward input, for the weight gradient. Every
+    /// forward refills its buffer, so repeated steps at a fixed batch shape
+    /// stop allocating.
     cached_input: Option<Tensor>,
+    /// Whether `cached_input` holds a forward input no backward has used
+    /// yet.
+    cached: bool,
 }
 
 impl Linear {
@@ -367,6 +373,7 @@ impl Linear {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_features])),
             cached_input: None,
+            cached: false,
         }
     }
 
@@ -384,7 +391,13 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.shape().rank(), 2, "Linear expects [N, features]");
-        self.cached_input = Some(input.clone());
+        match &mut self.cached_input {
+            Some(kept) if kept.shape() == input.shape() => {
+                kept.as_mut_slice().copy_from_slice(input.as_slice());
+            }
+            slot => *slot = Some(input.clone()),
+        }
+        self.cached = true;
         let mut out = matmul_bt(input, &self.weight.value); // [N, out]
         let (n, o) = (out.shape().dim(0), out.shape().dim(1));
         let bias = self.bias.value.as_slice().to_vec();
@@ -398,12 +411,15 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        // The forward's input serves one backward only.
+        let cached = std::mem::take(&mut self.cached);
         let input = self
             .cached_input
-            .take()
+            .as_ref()
+            .filter(|_| cached)
             .expect("backward called before forward");
         // dW = dOutᵀ · input  ([out, N]·[N, in]).
-        self.weight.grad = matmul_at(grad_out, &input);
+        self.weight.grad = matmul_at(grad_out, input);
         // dBias = column sums of dOut.
         let (n, o) = (grad_out.shape().dim(0), grad_out.shape().dim(1));
         let mut db = Tensor::zeros(&[o]);
@@ -720,6 +736,44 @@ mod tests {
         // Bias gradient of an all-ones output gradient is N per unit.
         for &b in lin.params()[1].grad.as_slice() {
             assert!((b - 3.0).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn linear_backward_before_forward_panics() {
+        let mut lin = Linear::new(&mut StdRng::seed_from_u64(4), 6, 4);
+        let _ = lin.backward(&Tensor::zeros(&[3, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn linear_second_backward_after_one_forward_panics() {
+        let mut lin = Linear::new(&mut StdRng::seed_from_u64(4), 6, 4);
+        let _ = lin.forward(&Tensor::from_fn(&[3, 6], |i| (i as f32).sin()));
+        let go = Tensor::full(&[3, 4], 1.0);
+        let _ = lin.backward(&go);
+        let _ = lin.backward(&go);
+    }
+
+    #[test]
+    fn linear_backward_uses_the_latest_forward_input() {
+        let mut lin = Linear::new(&mut StdRng::seed_from_u64(5), 6, 4);
+        let a = Tensor::from_fn(&[3, 6], |i| (i as f32 * 0.13).sin());
+        let b = Tensor::from_fn(&[3, 6], |i| (i as f32 * 0.29).cos());
+        // A different batch size in between makes the kept buffer reshape.
+        let c = Tensor::from_fn(&[5, 6], |i| (i as f32 * 0.41).sin());
+        for (first, last) in [(&a, &b), (&c, &b), (&b, &c)] {
+            let _ = lin.forward(first);
+            let _ = lin.forward(last);
+            let n = last.shape().dim(0);
+            let go = Tensor::from_fn(&[n, 4], |i| (i as f32 * 0.07).sin());
+            let _ = lin.backward(&go);
+            assert_eq!(
+                bits(&lin.weight().grad),
+                bits(&matmul_at(&go, last)),
+                "weight gradient must come from the latest input"
+            );
         }
     }
 

@@ -108,6 +108,12 @@ impl CartesianAccelerator {
 impl CartesianAccelerator {
     /// Executes a conv-layer plan on the fast PE model, including the
     /// stride phase decomposition and halo exchange.
+    ///
+    /// The per-channel weight sums depend only on a PE's filter set, so
+    /// they are built once per run of consecutive assignments sharing a
+    /// `k_set` (every PE under planar tiling, each sub-array's PEs under
+    /// mixed tiling with planar inner splits) and reused; the sums are
+    /// integers, so the reuse is exact.
     fn run_conv_plan(
         &self,
         pe: &CartesianPe,
@@ -128,17 +134,25 @@ impl CartesianAccelerator {
         let phases = to_count(layer.stride * layer.stride);
         const STRIDE_WASTE: f64 = 2.0;
         let mut results = Vec::with_capacity(plan.len());
+        // Non-zero stored weights per input channel over `w_set`'s filters:
+        // filter `k` of conv group `k / k_per_group` reads input channel
+        // `(k / k_per_group) * c_per_group + c_local`.
+        let mut w_by_c = vec![0u64; layer.c];
+        let mut w_set: Option<&[usize]> = None;
+        let mut channels = Vec::with_capacity(layer.c * layer.stride * layer.stride);
         for assign in plan {
-            let mut channels = Vec::with_capacity(layer.c * layer.stride * layer.stride);
-            for c in 0..layer.c {
-                let conv_group = c / c_per_group;
-                let c_local = c % c_per_group;
-                let w: u64 = assign
-                    .k_set
-                    .iter()
-                    .filter(|&&k| k / k_per_group == conv_group)
-                    .map(|&k| u64::from(wl.weight_nnz(k, c_local)))
-                    .sum();
+            if w_set != Some(assign.k_set.as_slice()) {
+                w_by_c.fill(0);
+                for &k in &assign.k_set {
+                    let base = (k / k_per_group) * c_per_group;
+                    for (c_local, w) in w_by_c[base..base + c_per_group].iter_mut().enumerate() {
+                        *w += u64::from(wl.weight_nnz(k, c_local));
+                    }
+                }
+                w_set = Some(&assign.k_set);
+            }
+            channels.clear();
+            for (c, &w) in w_by_c.iter().enumerate() {
                 if w == 0 {
                     continue;
                 }
@@ -301,6 +315,164 @@ mod tests {
             workload: wl,
             input_on_chip: true,
             output_fits_on_chip: true,
+        }
+    }
+
+    /// Oracle for `run_conv_plan`: the original per-PE, per-channel scan of
+    /// the PE's whole `k_set`, with nothing shared between PEs.
+    fn per_pe_scan_oracle(
+        pe: &CartesianPe,
+        wl: &LayerWorkload,
+        plan: &[tiling::PeAssignment],
+    ) -> Vec<PeResult> {
+        let layer = &wl.layer;
+        let c_per_group = wl.c_per_group();
+        let k_per_group = layer.k / layer.groups;
+        let phases = to_count(layer.stride * layer.stride);
+        let mut results = Vec::new();
+        for assign in plan {
+            let mut channels = Vec::new();
+            for c in 0..layer.c {
+                let conv_group = c / c_per_group;
+                let c_local = c % c_per_group;
+                let w: u64 = assign
+                    .k_set
+                    .iter()
+                    .filter(|&&k| k / k_per_group == conv_group)
+                    .map(|&k| u64::from(wl.weight_nnz(k, c_local)))
+                    .sum();
+                if w == 0 {
+                    continue;
+                }
+                let a = u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
+                if phases == 1 {
+                    channels.push((w, a));
+                } else {
+                    let w_p = count_from_f64(((w as f64 * 2.0) / phases as f64).ceil());
+                    let a_p = a.div_ceil(phases);
+                    for _ in 0..phases {
+                        channels.push((w_p, a_p));
+                    }
+                }
+            }
+            let outputs = to_count(assign.k_set.len() * assign.out_pixels);
+            let mut result = pe.run_conv(&channels, outputs);
+            let halo = to_count(assign.k_set.len() * assign.halo_out_pixels);
+            let exchange = pe.halo_exchange(halo);
+            result.cycles += exchange.cycles;
+            result.counters.merge(&exchange.counters);
+            results.push(result);
+        }
+        results
+    }
+
+    fn oracle_pes() -> [CartesianPe; 2] {
+        [
+            CartesianPe {
+                px: 4,
+                py: 4,
+                stall_factor: 1.0,
+                dual: false,
+                self_dual_frac: 0.0,
+            },
+            CartesianPe {
+                px: 4,
+                py: 4,
+                stall_factor: 1.15,
+                dual: true,
+                self_dual_frac: 0.2,
+            },
+        ]
+    }
+
+    #[test]
+    fn shared_weight_sums_match_per_pe_scan_for_every_strategy() {
+        let layers = [
+            LayerDesc::conv("dense", 16, 32, 3, 3, 28, 28, 1, 1),
+            LayerDesc::conv("pointwise", 24, 32, 1, 1, 14, 14, 1, 0),
+            LayerDesc::conv("starved", 16, 2, 3, 3, 28, 28, 1, 1),
+            LayerDesc::grouped("grouped", 32, 64, 3, 3, 14, 14, 1, 1, 4),
+            LayerDesc::grouped("depthwise", 48, 48, 3, 3, 14, 14, 1, 1, 48),
+            LayerDesc::conv("stride2", 16, 24, 3, 3, 28, 28, 2, 1),
+            LayerDesc::grouped("dw_stride2", 32, 32, 3, 3, 28, 28, 2, 1, 32),
+        ];
+        let big = ArchConfig {
+            pe_rows: 4,
+            pe_cols: 4,
+            mixed_subarrays: 4,
+            ..ArchConfig::paper()
+        };
+        let acc = CartesianAccelerator::cscnn();
+        let (mut mixed_halo, mut mixed_split) = (false, false);
+        for cfg in [ArchConfig::paper(), big] {
+            for (i, layer) in layers.iter().enumerate() {
+                let wl = LayerWorkload::synthesize(layer, 0.3, 0.5, i % 2 == 0, 20 + i as u64);
+                for strategy in [
+                    TilingStrategy::Planar,
+                    TilingStrategy::OutputChannel,
+                    TilingStrategy::Mixed,
+                ] {
+                    for balanced in [true, false] {
+                        let plan = tiling::plan(&cfg, &wl, strategy, balanced);
+                        if strategy == TilingStrategy::Mixed {
+                            let whole = layer.h * layer.w;
+                            mixed_halo |= plan.iter().any(|a| a.tile_pixels < whole);
+                            mixed_split |= plan.iter().all(|a| a.tile_pixels == whole);
+                        }
+                        for pe in oracle_pes() {
+                            assert_eq!(
+                                acc.run_conv_plan(&pe, &wl, &plan),
+                                per_pe_scan_oracle(&pe, &wl, &plan),
+                                "{} {strategy:?} balanced={balanced} pes={}",
+                                layer.name,
+                                cfg.num_pes()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(mixed_halo, "a layer must take Mixed's planar inner split");
+        assert!(mixed_split, "a layer must take Mixed's channel inner split");
+    }
+
+    #[test]
+    fn weight_sums_are_rebuilt_whenever_the_filter_set_changes() {
+        // Filter sets that alternate, repeat, differ only in their last
+        // filter or not in length, cross conv groups, come empty and come
+        // permuted: reusing a previous PE's sums for any of them changes
+        // that PE's result.
+        let layer = LayerDesc::grouped("g", 16, 16, 3, 3, 14, 14, 1, 1, 2);
+        let wl = LayerWorkload::synthesize(&layer, 0.4, 0.5, true, 33);
+        let sets: [&[usize]; 10] = [
+            &[0, 2, 4],
+            &[1, 3, 5],
+            &[0, 2, 4],
+            &[0, 2, 6],
+            &[1, 3],
+            &[1, 3],
+            &[4, 2, 0, 9, 15],
+            &[],
+            &[8],
+            &[9],
+        ];
+        let plan: Vec<tiling::PeAssignment> = sets
+            .iter()
+            .enumerate()
+            .map(|(i, k_set)| tiling::PeAssignment {
+                k_set: k_set.to_vec(),
+                tile_id: i % 3,
+                tile_pixels: 64 + 16 * i,
+                out_pixels: 49,
+                halo_out_pixels: 2 * i,
+            })
+            .collect();
+        let acc = CartesianAccelerator::scnn();
+        for pe in oracle_pes() {
+            assert_eq!(
+                acc.run_conv_plan(&pe, &wl, &plan),
+                per_pe_scan_oracle(&pe, &wl, &plan)
+            );
         }
     }
 

@@ -96,13 +96,26 @@ pub fn plan(
     let layer = &workload.layer;
     let (oh, ow) = layer.output_dim();
     let all_k: Vec<usize> = (0..layer.k).collect();
-    let filter_weights: Vec<u64> = (0..layer.k).map(|k| workload.filter_nnz(k)).collect();
-    let group_k = |groups: usize| -> Vec<Vec<usize>> {
-        if balanced {
-            balance_groups(&filter_weights, groups)
+    // Per-filter non-zero weights: read only by density-sorted grouping,
+    // which planar tiling never does, so only the grouping arms pay this
+    // O(K·C/groups) pass.
+    let filter_weights: Vec<u64> = if balanced && strategy != TilingStrategy::Planar {
+        all_k.iter().map(|&k| workload.filter_nnz(k)).collect()
+    } else {
+        Vec::new()
+    };
+    // Splits the filters `k_set` into `groups` groups.
+    let group = |k_set: &[usize], groups: usize| -> Vec<Vec<usize>> {
+        let by_index = if balanced {
+            let weights: Vec<u64> = k_set.iter().map(|&k| filter_weights[k]).collect();
+            balance_groups(&weights, groups)
         } else {
-            naive_groups(layer.k, groups)
-        }
+            naive_groups(k_set.len(), groups)
+        };
+        by_index
+            .into_iter()
+            .map(|g| g.into_iter().map(|i| k_set[i]).collect())
+            .collect()
     };
     // Splitting the plane gives each PE an *input* tile inflated by the
     // kernel halo (`T_w+S-1 × T_h+R-1`, \[66\]): every activation in the halo
@@ -135,23 +148,20 @@ pub fn plan(
             }
             out
         }
-        TilingStrategy::OutputChannel => {
-            let groups = group_k(n_pes);
-            groups
-                .into_iter()
-                .map(|k_set| PeAssignment {
-                    k_set,
-                    tile_id: 0,
-                    tile_pixels: layer.h * layer.w,
-                    out_pixels: oh * ow,
-                    halo_out_pixels: 0,
-                })
-                .collect()
-        }
+        TilingStrategy::OutputChannel => group(&all_k, n_pes)
+            .into_iter()
+            .map(|k_set| PeAssignment {
+                k_set,
+                tile_id: 0,
+                tile_pixels: layer.h * layer.w,
+                out_pixels: oh * ow,
+                halo_out_pixels: 0,
+            })
+            .collect(),
         TilingStrategy::Mixed => {
             let subarrays = cfg.mixed_subarrays.clamp(1, n_pes);
             let pes_per_sub = n_pes / subarrays;
-            let k_groups = group_k(subarrays);
+            let k_groups = group(&all_k, subarrays);
             // Adaptive per-layer tile sizing (§III-C: "the tile size may
             // change layer to layer"): inside each sub-array, choose
             // between planar-splitting the plane (costs the kernel halo)
@@ -188,16 +198,9 @@ pub fn plan(
                 // Channel-split within each sub-array: every PE sees the
                 // whole plane and a quarter of the filters.
                 for (sa, k_set) in k_groups.into_iter().enumerate() {
-                    let sub_weights: Vec<u64> =
-                        k_set.iter().map(|&k| workload.filter_nnz(k)).collect();
-                    let inner = if balanced {
-                        balance_groups(&sub_weights, pes_per_sub)
-                    } else {
-                        naive_groups(k_set.len(), pes_per_sub)
-                    };
-                    for idx_group in inner {
+                    for pe_k_set in group(&k_set, pes_per_sub) {
                         out.push(PeAssignment {
-                            k_set: idx_group.iter().map(|&i| k_set[i]).collect(),
+                            k_set: pe_k_set,
                             tile_id: sa * pes_per_sub, // whole plane, shared per sub-array
                             tile_pixels: layer.h * layer.w,
                             out_pixels: oh * ow,
